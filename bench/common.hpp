@@ -479,9 +479,9 @@ struct BenchEnv
             const auto colon = wf.find(':');
             u64 window = 0, fastforward = 0;
             if (colon != std::string::npos) {
-                window = std::strtoull(wf.c_str(), nullptr, 10);
-                fastforward = std::strtoull(
-                    wf.c_str() + colon + 1, nullptr, 10);
+                window = parseDecimal(wf.substr(0, colon)).value_or(0);
+                fastforward =
+                    parseDecimal(wf.substr(colon + 1)).value_or(0);
             }
             if (window == 0 || fastforward == 0) {
                 fatal("bad --sample=", wf,

@@ -11,21 +11,16 @@
  * pages, not frames, on the hot path, and physical layout does not
  * change any conclusion the paper draws.
  *
- * Storage is structure-of-arrays: tags and LRU stamps live in separate
- * contiguous arrays, so the dominant cost — the per-set tag scan — only
- * touches tag cache lines (one 64B line covers an 8-way set) and can
- * optionally run through the SIMD kernel in util/tagscan.hpp. The
- * hierarchy's miss path uses the fused probe-or-insert access(): one
- * set scan resolves hit way, first empty way, and LRU victim together,
- * where the old lookup()-then-insert() pair scanned every set twice.
+ * Each level is a util::SetAssoc keyed by line address: the tag array,
+ * its replacement rule and its scan kernels are the ones the TLBs and
+ * page-walk caches use. A miss path probes and fills each level in one
+ * fused set scan.
  */
 
 #pragma once
 
-#include <vector>
-
 #include "util/log.hpp"
-#include "util/tagscan.hpp"
+#include "util/set_assoc.hpp"
 #include "util/types.hpp"
 
 namespace pccsim::cache {
@@ -44,162 +39,26 @@ struct CacheParams
     }
 };
 
-/** One set-associative cache level with true-LRU replacement. */
+/** One cache level: a line-keyed set-associative array. */
 class Cache
 {
   public:
-    /**
-     * @param mru_hint Probe the per-set MRU way before the full scan.
-     *        Pays off where consecutive probes re-touch one line (L1
-     *        sees every access, so streaming code hits its hint
-     *        constantly); inner levels only see L1 *misses*, where the
-     *        hint rarely matches and its data-dependent branch costs a
-     *        mispredict per probe. Results are identical either way —
-     *        the hint path performs the same stamp update the scan
-     *        would.
-     */
+    /** @param mru_hint See util::SetAssoc; on for L1 only. */
     explicit Cache(CacheParams params, bool mru_hint = true)
-        : params_(params), mru_hint_(mru_hint),
-          sets_(params.sets() == 0 ? 1 : params.sets()),
-          tags_(sets_ * params.ways, kInvalidTag),
-          stamps_(sets_ * params.ways, 0),
-          mru_(sets_, 0)
+        : array_(params.sets(), params.ways, mru_hint)
     {
         PCCSIM_ASSERT(params.line_bytes > 0 && params.ways > 0);
-        line_shift_ = 0;
         while ((1u << line_shift_) < params.line_bytes)
             ++line_shift_;
-        // Real geometries have power-of-two set counts; indexing with a
-        // mask instead of a 64-bit division is a large win on the
-        // per-access hot path. Odd set counts fall back to modulo.
-        set_mask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
     }
 
-    /** Probe and update LRU; true on hit. */
-    bool
-    lookup(Addr addr)
-    {
-        const u64 tag = addr >> line_shift_;
-        PCCSIM_DCHECK(tag != kInvalidTag);
-        const u64 set_index = setIndexOf(tag);
-        u64 *tags = &tags_[set_index * params_.ways];
-        u64 *stamps = &stamps_[set_index * params_.ways];
-        // MRU-way fast check: the timing model's dominant cost is this
-        // scan, and most hits land on the last way touched. A stale
-        // hint (after eviction) just fails the compare and falls
-        // through; the stamp update is the same one the scan performs,
-        // so the fast path is bit-identical to the slow one.
-        u32 &mru = mru_[set_index];
-        if (mru_hint_ && tags[mru] == tag) {
-            stamps[mru] = ++clock_;
-            return true;
-        }
-        const int w = util::findTag(tags, params_.ways, tag);
-        if (w < 0)
-            return false;
-        stamps[w] = ++clock_;
-        mru = static_cast<u32>(w);
-        return true;
-    }
+    /** Probe-or-fill the line holding addr; true on hit. */
+    bool access(Addr addr) { return array_.access(addr >> line_shift_).hit; }
 
-    /**
-     * Fused probe-or-insert: equivalent to `lookup(addr)` followed on
-     * miss by `insert(addr)` — same hit outcome, same victim choice,
-     * same stamp/clock sequence, same MRU hint — in one set scan.
-     * Returns true on hit.
-     */
-    bool
-    access(Addr addr)
-    {
-        const u64 tag = addr >> line_shift_;
-        PCCSIM_DCHECK(tag != kInvalidTag);
-        const u64 set_index = setIndexOf(tag);
-        u64 *tags = &tags_[set_index * params_.ways];
-        u64 *stamps = &stamps_[set_index * params_.ways];
-        u32 &mru = mru_[set_index];
-        if (mru_hint_ && tags[mru] == tag) {
-            stamps[mru] = ++clock_;
-            return true;
-        }
-        const auto scan =
-            util::scanSet(tags, stamps, params_.ways, tag);
-        if (scan.hit_way >= 0) {
-            stamps[scan.hit_way] = ++clock_;
-            mru = static_cast<u32>(scan.hit_way);
-            return true;
-        }
-        // Victim: first empty way, else true LRU — both cases are the
-        // earliest-minimum stamp (empties hold stamp 0, filled ways
-        // unique stamps >= 1), so one branch-free scan covers them.
-        tags[scan.victim] = tag;
-        stamps[scan.victim] = ++clock_;
-        mru = scan.victim;
-        return false;
-    }
-
-    /** Fill the line containing addr, evicting LRU. */
-    void
-    insert(Addr addr)
-    {
-        const u64 tag = addr >> line_shift_;
-        const u64 set_index = setIndexOf(tag);
-        u64 *tags = &tags_[set_index * params_.ways];
-        u64 *stamps = &stamps_[set_index * params_.ways];
-        u32 victim = 0;
-        u64 oldest = ~0ull;
-        for (u32 w = 0; w < params_.ways; ++w) {
-            if (tags[w] == kInvalidTag) {
-                victim = w;
-                break;
-            }
-            if (tags[w] == tag) {
-                stamps[w] = ++clock_;
-                return;
-            }
-            if (stamps[w] < oldest) {
-                oldest = stamps[w];
-                victim = w;
-            }
-        }
-        tags[victim] = tag;
-        stamps[victim] = ++clock_;
-        mru_[set_index] = victim;
-    }
-
-    void
-    flushAll()
-    {
-        for (auto &tag : tags_)
-            tag = kInvalidTag;
-        for (auto &stamp : stamps_)
-            stamp = 0;
-    }
-
-    const CacheParams &params() const { return params_; }
+    void flushAll() { array_.flushAll(); }
 
   private:
-    /**
-     * Validity is the sentinel tag rather than a bool, which keeps the
-     * hot-path scans pure tag compares. The sentinel is unreachable as
-     * a real tag: tags are addr >> line_shift_, so ~0 would require an
-     * address in the top cache line of the address space.
-     */
-    static constexpr u64 kInvalidTag = ~0ull;
-
-    u64
-    setIndexOf(u64 tag) const
-    {
-        return set_mask_ ? (tag & set_mask_) : (tag % sets_);
-    }
-
-    CacheParams params_;
-    bool mru_hint_;
-    u64 sets_;
-    std::vector<u64> tags_;   //!< SoA: tag per way, sentinel = empty
-    std::vector<u64> stamps_; //!< SoA: LRU stamp per way
-    std::vector<u32> mru_;    //!< per-set hint; advisory, may be stale
-    u64 clock_ = 0;
-    u64 set_mask_ = 0;
+    util::SetAssoc array_;
     u32 line_shift_ = 0;
 };
 

@@ -18,7 +18,7 @@
 
 #include "mem/paging.hpp"
 #include "pt/page_table.hpp"
-#include "tlb/set_assoc_tlb.hpp"
+#include "tlb/geometry.hpp"
 #include "util/types.hpp"
 
 namespace pccsim::pt {
@@ -49,9 +49,9 @@ class Walker
   public:
     explicit Walker(PwcParams params = PwcParams{})
         : params_(params),
-          pml4e_(params.pml4e),
-          pdpte_(params.pdpte),
-          pde_(params.pde)
+          pml4e_(tlb::arrayOf(params.pml4e)),
+          pdpte_(tlb::arrayOf(params.pdpte)),
+          pde_(tlb::arrayOf(params.pde))
     {
     }
 
@@ -87,7 +87,7 @@ class Walker
         const Vpn lo2m = mem::vpnOf(base, mem::PageSize::Huge2M);
         const Vpn hi2m = mem::vpnOf(base + bytes - 1,
                                     mem::PageSize::Huge2M) + 1;
-        pde_.invalidateVpnRange(lo2m, hi2m);
+        pde_.invalidateRange(lo2m, hi2m);
         // A PMD rewrite (2MB promote/demote, PTE migration) leaves the
         // PUD entry itself intact, so cached PDPTEs stay valid unless
         // the invalidation spans whole 1GB mappings.
@@ -95,7 +95,7 @@ class Walker
             const Vpn lo1g = mem::vpnOf(base, mem::PageSize::Huge1G);
             const Vpn hi1g = mem::vpnOf(base + bytes - 1,
                                         mem::PageSize::Huge1G) + 1;
-            pdpte_.invalidateVpnRange(lo1g, hi1g);
+            pdpte_.invalidateRange(lo1g, hi1g);
         }
         // PML4E entries only point to lower tables; they stay valid.
     }
@@ -128,6 +128,9 @@ class Walker
         total_refs_ = 0;
     }
 
+    /** The PDPTE cache (tests and introspection). */
+    const util::SetAssoc &pdpte() const { return pdpte_; }
+
   private:
     unsigned
     refsFor(Addr vaddr, const PageTable::WalkInfo &info)
@@ -143,37 +146,23 @@ class Walker
         const Vpn vpn512g = vaddr >> 39;
 
         // Start below the deepest PWC hit; every traversed level is
-        // (re)filled. The combined access() folds the former
-        // probe-then-refill double scan into one scan per structure:
-        // a level that must be probed uses access() (hit or insert in
-        // one pass), while levels above a deeper hit skip the probe
-        // and just refill.
+        // (re)filled. Each level is one fused access() — probe, and on
+        // a miss fill, in a single set scan; a level above a deeper hit
+        // only needs the refill, so its hit result is ignored.
         unsigned start_level = 0; // number of levels skipped
         if (depth >= 4 && pde_.access(vpn2m).hit)
             start_level = 3;
-        if (depth >= 3) {
-            if (start_level == 0) {
-                if (pdpte_.access(vpn1g).hit)
-                    start_level = 2;
-            } else {
-                pdpte_.insert(vpn1g);
-            }
-        }
-        if (depth >= 2) {
-            if (start_level == 0) {
-                if (pml4e_.access(vpn512g).hit)
-                    start_level = 1;
-            } else {
-                pml4e_.insert(vpn512g);
-            }
-        }
+        if (depth >= 3 && pdpte_.access(vpn1g).hit && start_level == 0)
+            start_level = 2;
+        if (depth >= 2 && pml4e_.access(vpn512g).hit && start_level == 0)
+            start_level = 1;
         return depth - start_level;
     }
 
     PwcParams params_;
-    tlb::SetAssocTlb pml4e_;
-    tlb::SetAssocTlb pdpte_;
-    tlb::SetAssocTlb pde_;
+    util::SetAssoc pml4e_;
+    util::SetAssoc pdpte_;
+    util::SetAssoc pde_;
     u64 walks_ = 0;
     u64 total_refs_ = 0;
 };

@@ -97,7 +97,7 @@ class OracleError : public std::runtime_error
  * Reference set-associative structure: std::map-backed sets, explicit
  * LRU stamps, linear victim scan. No MRU hints, no sentinel packing —
  * every decision is spelled out. Replacement behavior is equivalent to
- * tlb::SetAssocTlb by construction: true LRU over valid entries with
+ * util::SetAssoc by construction: true LRU over valid entries with
  * empty slots filled first.
  */
 class RefSetAssoc

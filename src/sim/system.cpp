@@ -147,12 +147,25 @@ SystemConfig::validate() const
             tlb::HwRegistry::instance().validateSelector(hw));
     }
 
-    const auto checkTlb = [&status](const char *label,
-                                    const tlb::TlbParams &p) {
-        if (p.ways == 0) {
-            status.update(Status::error(label, ": zero-way TLB"));
-            return;
+    // Every TLB, PWC and cache level is a util::SetAssoc, whose set
+    // scans build a u32 way mask.
+    const auto waysOk = [&status](const char *label, u32 ways,
+                                  const char *kind) {
+        if (ways == 0) {
+            status.update(Status::error(label, ": zero-way ", kind));
+            return false;
         }
+        if (ways > util::SetAssoc::kMaxWays) {
+            status.update(Status::error(label, ": ", ways, " ways (max ",
+                                        util::SetAssoc::kMaxWays, ")"));
+            return false;
+        }
+        return true;
+    };
+    const auto checkTlb = [&status, &waysOk](const char *label,
+                                             const tlb::TlbParams &p) {
+        if (!waysOk(label, p.ways, "TLB"))
+            return;
         if (p.entries == 0) {
             status.update(Status::error(label, ": zero entries"));
             return;
@@ -179,12 +192,10 @@ SystemConfig::validate() const
         checkTlb("pwc.pde", pwc.pde);
     }
 
-    const auto checkCache = [&status](const char *label,
-                                      const cache::CacheParams &p) {
-        if (p.ways == 0) {
-            status.update(Status::error(label, ": zero-way cache"));
+    const auto checkCache = [&status, &waysOk](const char *label,
+                                               const cache::CacheParams &p) {
+        if (!waysOk(label, p.ways, "cache"))
             return;
-        }
         if (!isPow2(p.line_bytes)) {
             status.update(Status::error(
                 label, ": line size ", p.line_bytes,
@@ -769,16 +780,6 @@ System::chargeWalkRefs(CoreState &core, const os::Process &proc,
     return cost;
 }
 
-// Ablation switches for profiling builds only (never defined in the
-// shipped CMake config): carve one component out of the hot path so
-// wall-clock deltas attribute cost where gprof's instrumentation bias
-// cannot.
-#ifdef PCCSIM_ABLATE_DCACHE
-#define PCCSIM_DCACHE(core, addr) Cycles{0}
-#else
-#define PCCSIM_DCACHE(core, addr) (core).dcache.access(addr)
-#endif
-
 Cycles
 System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                  bool write)
@@ -806,7 +807,7 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                 static_cast<u32>(&core - cores_.data()), proc.pid(),
                 vaddr, filled);
         }
-        cost += PCCSIM_DCACHE(core, vaddr);
+        cost += core.dcache.access(vaddr);
         if (tel_tail_) {
             recordTail(core, proc, vaddr, telemetry::TailOutcome::Fault,
                        cost, 0, fault_cost);
@@ -826,7 +827,7 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                 static_cast<u32>(&core - cores_.data()), proc.pid(),
                 vaddr);
         }
-        cost += PCCSIM_DCACHE(core, vaddr);
+        cost += core.dcache.access(vaddr);
         if (tel_tail_) {
             recordTail(core, proc, vaddr, telemetry::TailOutcome::L1,
                        cost, 0, 0);
@@ -876,7 +877,7 @@ System::doAccess(CoreState &core, os::Process &proc, Addr vaddr,
                           proc.pid(), vaddr, size, level);
     }
     core.noteTranslated(vaddr, size);
-    cost += PCCSIM_DCACHE(core, vaddr);
+    cost += core.dcache.access(vaddr);
     if (tel_tail_) {
         const telemetry::TailOutcome outcome =
             level == tlb::HitLevel::Miss ? telemetry::TailOutcome::Walk
@@ -1378,12 +1379,6 @@ System::run(std::vector<Job> jobs)
     // ---- set up processes and workloads ----
     u64 total_footprint = 0;
     std::vector<os::Process *> procs;
-    {
-        // Physical memory is sized from the declared footprints, so
-        // allocate processes first, then the memory + OS.
-        std::vector<std::unique_ptr<os::Process>> staged;
-        (void)staged;
-    }
     // Create the OS late: we need footprints for auto-sizing physical
     // memory, but processes live inside the OS. Solve by creating the
     // OS with a deferred-size physical memory: do a dry setup pass on

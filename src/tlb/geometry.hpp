@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include "util/set_assoc.hpp"
 #include "util/types.hpp"
 
 namespace pccsim::tlb {
@@ -17,6 +18,15 @@ struct TlbParams
 
     constexpr u32 sets() const { return ways == 0 ? 0 : entries / ways; }
 };
+
+/** The tag array of one TLB or page-walk-cache structure. */
+inline util::SetAssoc
+arrayOf(const TlbParams &params)
+{
+    PCCSIM_ASSERT(params.ways == 0 || params.entries % params.ways == 0,
+                  "TLB entries not divisible by ways");
+    return util::SetAssoc(params.sets(), params.ways);
+}
 
 /**
  * Full data-TLB hierarchy geometry. Matches the evaluation machine of the

@@ -8,7 +8,7 @@
  * event stream the promotion candidate cache consumes.
  *
  * Multi-tenant nodes tag every entry with the current ASID (x86 PCID):
- * the tag is folded into the high bits of the SetAssocTlb key, so
+ * the tag is folded into the high bits of the util::SetAssoc key, so
  * translations of different address spaces coexist and a context switch
  * is a setCurrentAsid() call (CR3 write with the PCID-preserve bit)
  * instead of a flushAll(). ASID 0 produces today's raw keys bit for
@@ -22,7 +22,7 @@
 #include <functional>
 
 #include "mem/paging.hpp"
-#include "tlb/set_assoc_tlb.hpp"
+#include "tlb/geometry.hpp"
 #include "util/stats.hpp"
 
 namespace pccsim::tlb {
@@ -39,20 +39,20 @@ class TlbHierarchy
 {
   public:
     /**
-     * Bit position of the ASID tag within a SetAssocTlb key. VPNs are
+     * Bit position of the ASID tag within a TLB array key. VPNs are
      * at most vaddr >> 12 of a 48-bit canonical address (< 2^36), and
      * the unified-L2 key shifts the VPN by another 2 bits (< 2^38), so
      * the low 48 bits always hold the untagged key and the tag can
-     * never collide with kInvalidVpn (~0, which needs all low bits set).
+     * never collide with the array's empty-way sentinel (~0, which needs all low bits set).
      */
     static constexpr unsigned kAsidShift = 48;
 
     explicit TlbHierarchy(const TlbGeometry &geometry = TlbGeometry{})
         : geometry_(geometry),
-          l1_4k_(geometry.l1_4k),
-          l1_2m_(geometry.l1_2m),
-          l1_1g_(geometry.l1_1g),
-          l2_(geometry.l2)
+          l1_4k_(arrayOf(geometry.l1_4k)),
+          l1_2m_(arrayOf(geometry.l1_2m)),
+          l1_1g_(arrayOf(geometry.l1_1g)),
+          l2_(arrayOf(geometry.l2))
     {
     }
 
@@ -244,7 +244,7 @@ class TlbHierarchy
     }
 
     const TlbGeometry &geometry() const { return geometry_; }
-    SetAssocTlb &l1Of(mem::PageSize size)
+    util::SetAssoc &l1Of(mem::PageSize size)
     {
         switch (size) {
           case mem::PageSize::Base4K: return l1_4k_;
@@ -253,7 +253,7 @@ class TlbHierarchy
         }
         return l1_4k_;
     }
-    SetAssocTlb &l2() { return l2_; }
+    util::SetAssoc &l2() { return l2_; }
 
   private:
     /** Low 48 bits: the untagged key; high 16 bits: the ASID tag. */
@@ -282,22 +282,22 @@ class TlbHierarchy
     }
 
     u64
-    dropRange(SetAssocTlb &structure, Addr base, u64 bytes,
+    dropRange(util::SetAssoc &structure, Addr base, u64 bytes,
               mem::PageSize size, bool keyed, u64 tag)
     {
         const Vpn lo = mem::vpnOf(base, size) | tag;
         const Vpn hi = (mem::vpnOf(base + bytes - 1, size) + 1) | tag;
         if (keyed)
-            return structure.invalidateVpnRange(l2Key(lo, size),
+            return structure.invalidateRange(l2Key(lo, size),
                                                 l2Key(hi, size));
-        return structure.invalidateVpnRange(lo, hi);
+        return structure.invalidateRange(lo, hi);
     }
 
     TlbGeometry geometry_;
-    SetAssocTlb l1_4k_;
-    SetAssocTlb l1_2m_;
-    SetAssocTlb l1_1g_;
-    SetAssocTlb l2_;
+    util::SetAssoc l1_4k_;
+    util::SetAssoc l1_2m_;
+    util::SetAssoc l1_1g_;
+    util::SetAssoc l2_;
     L2VictimHook l2_victim_;
 
     Asid asid_ = 0;

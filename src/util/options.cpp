@@ -1,5 +1,7 @@
 #include "util/options.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/log.hpp"
@@ -46,7 +48,13 @@ Options::getInt(const std::string &name, i64 fallback) const
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        fatal("--", name, "=", it->second, " is not an integer");
+    return v;
 }
 
 double
@@ -55,7 +63,13 @@ Options::getDouble(const std::string &name, double fallback) const
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+        fatal("--", name, "=", it->second, " is not a finite number");
+    return v;
 }
 
 bool
@@ -66,6 +80,19 @@ Options::getBool(const std::string &name, bool fallback) const
         return fallback;
     const std::string &v = it->second;
     return v.empty() || v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+std::optional<u64>
+parseDecimal(const std::string &text)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return std::nullopt;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return std::nullopt;
+    return v;
 }
 
 } // namespace pccsim

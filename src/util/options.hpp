@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,18 @@ class Options
     std::string get(const std::string &name,
                     const std::string &fallback = "") const;
 
-    /** Integer value of --name, or fallback when absent. */
+    /**
+     * Integer value of --name (decimal, 0x hex or 0 octal), or fallback
+     * when absent or given without a value. A value that is not
+     * wholly an in-range integer is fatal, naming the option.
+     */
     i64 getInt(const std::string &name, i64 fallback) const;
 
-    /** Floating-point value of --name, or fallback when absent. */
+    /**
+     * Floating-point value of --name, or fallback when absent or given
+     * without a value. A value that is not wholly a finite number is
+     * fatal, naming the option.
+     */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Boolean: present with no value or value in {1,true,yes,on}. */
@@ -45,5 +54,11 @@ class Options
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/**
+ * Strict unsigned decimal: the whole of `text` must be digits and fit
+ * in a u64. Returns nullopt otherwise (including for "" and "-1").
+ */
+std::optional<u64> parseDecimal(const std::string &text);
 
 } // namespace pccsim

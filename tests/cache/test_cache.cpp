@@ -8,30 +8,29 @@ using namespace pccsim::cache;
 TEST(Cache, MissThenHitWithinLine)
 {
     Cache cache({1024, 2, 64});
-    EXPECT_FALSE(cache.lookup(0x100));
-    cache.insert(0x100);
-    EXPECT_TRUE(cache.lookup(0x100));
-    EXPECT_TRUE(cache.lookup(0x13f)); // same 64B line
-    EXPECT_FALSE(cache.lookup(0x140)); // next line
+    EXPECT_FALSE(cache.access(0x100)); // miss fills the line
+    EXPECT_TRUE(cache.access(0x100));
+    EXPECT_TRUE(cache.access(0x13f));  // same 64B line
+    EXPECT_FALSE(cache.access(0x140)); // next line
 }
 
 TEST(Cache, LruEviction)
 {
-    Cache cache({128, 2, 64}); // 1 set of 2 ways? 128/(2*64)=1 set
-    cache.insert(0);
-    cache.insert(64);
-    EXPECT_TRUE(cache.lookup(0)); // 0 MRU
-    cache.insert(128);            // evicts 64
-    EXPECT_TRUE(cache.lookup(0));
-    EXPECT_FALSE(cache.lookup(64));
+    Cache cache({128, 2, 64}); // 128/(2*64) = 1 set of 2 ways
+    cache.access(0);
+    cache.access(64);
+    EXPECT_TRUE(cache.access(0));   // 0 MRU
+    EXPECT_FALSE(cache.access(128)); // evicts 64
+    EXPECT_TRUE(cache.access(0));
+    EXPECT_FALSE(cache.access(64));
 }
 
 TEST(Cache, FlushAll)
 {
     Cache cache({1024, 4, 64});
-    cache.insert(0);
+    cache.access(0);
     cache.flushAll();
-    EXPECT_FALSE(cache.lookup(0));
+    EXPECT_FALSE(cache.access(0));
 }
 
 TEST(Hierarchy, LatencyOrderingAcrossLevels)

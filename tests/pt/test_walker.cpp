@@ -119,3 +119,27 @@ TEST(Walker, StatsAccumulateAndReset)
     walker.resetStats();
     EXPECT_EQ(walker.walks(), 0u);
 }
+
+TEST(Walker, GigabyteShootdownThenPdeHitKeepsOnePdpteEntry)
+{
+    // Regression: after a >= 1GB shootdown punches a hole in the PDPTE
+    // cache, a walk whose PDE hits refills the PDPTE level. That
+    // refill must refresh the entry still resident behind the hole,
+    // not store a second copy of it.
+    PageTable pt;
+    Walker walker;
+    const Addr a = kHeap;
+    const Addr b = kHeap + mem::kBytes1G;
+    const Addr c = kHeap + 2 * mem::kBytes1G;
+    pt.mapBase(a, 1);
+    pt.mapBase(b, 2);
+    pt.mapBase(c, 3);
+    walker.walk(pt, a);
+    walker.walk(pt, b);
+    walker.walk(pt, c); // PDPTE ways: [a, b, c]; MRU hint on c
+    walker.shootdown(a, mem::kBytes1G);
+    ASSERT_EQ(walker.pdpte().validCount(), 2u);
+    const auto out = walker.walk(pt, b);
+    EXPECT_EQ(out.memory_refs, 1u); // the PDE of b survived
+    EXPECT_EQ(walker.pdpte().validCount(), 2u);
+}

@@ -184,6 +184,29 @@ TEST(SystemConfigValidate, RejectsImpossibleGeometry)
     zero_way.tlb.l1_4k.ways = 0;
     EXPECT_FALSE(zero_way.validate().ok());
 
+    // The set scans build a u32 way mask: more than 32 ways is
+    // rejected for every TLB, PWC and cache level.
+    SystemConfig wide_tlb = SystemConfig::forScale(workloads::Scale::Ci);
+    wide_tlb.tlb.l2 = {64, 64};
+    const auto wide_status = wide_tlb.validate();
+    ASSERT_FALSE(wide_status.ok());
+    EXPECT_NE(wide_status.toString().find("tlb.l2"), std::string::npos)
+        << wide_status.toString();
+    SystemConfig wide_pwc = SystemConfig::forScale(workloads::Scale::Ci);
+    wide_pwc.pwc.pde = {33, 33};
+    EXPECT_FALSE(wide_pwc.validate().ok());
+    SystemConfig wide_cache = SystemConfig::forScale(workloads::Scale::Ci);
+    wide_cache.cache.llc = {64 * 64 * 64, 64, 64};
+    const auto wide_cache_status = wide_cache.validate();
+    ASSERT_FALSE(wide_cache_status.ok());
+    EXPECT_NE(wide_cache_status.toString().find("cache.llc"),
+              std::string::npos)
+        << wide_cache_status.toString();
+    SystemConfig widest_ok = SystemConfig::forScale(workloads::Scale::Ci);
+    widest_ok.tlb.l2 = {32, 32};
+    widest_ok.cache.llc = {64 * 32 * 64, 32, 64};
+    EXPECT_TRUE(widest_ok.validate().ok()) << widest_ok.validate().toString();
+
     SystemConfig bad_pcc = SystemConfig::forScale(workloads::Scale::Ci);
     bad_pcc.pcc.pcc2m.counter_bits = 0;
     EXPECT_FALSE(bad_pcc.validate().ok());

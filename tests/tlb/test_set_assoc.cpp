@@ -1,26 +1,37 @@
+// util::SetAssoc in the shapes the TLBs and page-walk caches use
+// (built from TlbParams via tlb::arrayOf), plus a randomized
+// differential check against the oracle's reference model on TLB- and
+// cache-shaped geometries.
+
 #include <gtest/gtest.h>
 
-#include "tlb/set_assoc_tlb.hpp"
+#include <tuple>
+
+#include "sim/oracle.hpp"
+#include "tlb/geometry.hpp"
+#include "util/rng.hpp"
+#include "util/set_assoc.hpp"
 
 using namespace pccsim;
 using namespace pccsim::tlb;
+using util::SetAssoc;
 
 TEST(SetAssocTlb, MissThenHitAfterInsert)
 {
-    SetAssocTlb tlb({16, 4});
+    SetAssoc tlb = arrayOf({16, 4});
     EXPECT_FALSE(tlb.lookup(0x100));
-    tlb.insert(0x100);
+    EXPECT_FALSE(tlb.access(0x100).hit);
     EXPECT_TRUE(tlb.lookup(0x100));
 }
 
 TEST(SetAssocTlb, LruEvictionWithinSet)
 {
-    SetAssocTlb tlb({8, 2}); // 4 sets, 2 ways
+    SetAssoc tlb = arrayOf({8, 2}); // 4 sets, 2 ways
     // VPNs 0, 4, 8 all map to set 0 (vpn % 4).
-    tlb.insert(0);
-    tlb.insert(4);
+    tlb.access(0);
+    tlb.access(4);
     EXPECT_TRUE(tlb.lookup(0)); // 0 becomes MRU
-    tlb.insert(8);              // evicts 4 (the LRU)
+    tlb.access(8);              // evicts 4 (the LRU)
     EXPECT_TRUE(tlb.contains(0));
     EXPECT_TRUE(tlb.contains(8));
     EXPECT_FALSE(tlb.contains(4));
@@ -28,23 +39,23 @@ TEST(SetAssocTlb, LruEvictionWithinSet)
 
 TEST(SetAssocTlb, ContainsDoesNotPromote)
 {
-    SetAssocTlb tlb({8, 2});
-    tlb.insert(0);
-    tlb.insert(4);
-    // Probe 0 without promoting, then insert: 0 should be evicted.
+    SetAssoc tlb = arrayOf({8, 2});
+    tlb.access(0);
+    tlb.access(4);
+    // Probe 0 without promoting, then fill: 0 should be evicted.
     EXPECT_TRUE(tlb.contains(0));
-    tlb.insert(8);
+    tlb.access(8);
     EXPECT_FALSE(tlb.contains(0));
     EXPECT_TRUE(tlb.contains(4));
 }
 
 TEST(SetAssocTlb, ReinsertExistingRefreshes)
 {
-    SetAssocTlb tlb({8, 2});
-    tlb.insert(0);
-    tlb.insert(4);
-    tlb.insert(0); // refresh, no duplicate
-    tlb.insert(8); // evicts 4
+    SetAssoc tlb = arrayOf({8, 2});
+    tlb.access(0);
+    tlb.access(4);
+    EXPECT_TRUE(tlb.access(0).hit); // refresh, no duplicate
+    tlb.access(8);                  // evicts 4
     EXPECT_TRUE(tlb.contains(0));
     EXPECT_FALSE(tlb.contains(4));
     EXPECT_EQ(tlb.validCount(), 2u);
@@ -52,19 +63,35 @@ TEST(SetAssocTlb, ReinsertExistingRefreshes)
 
 TEST(SetAssocTlb, InvalidateSingleEntry)
 {
-    SetAssocTlb tlb({16, 4});
-    tlb.insert(7);
-    EXPECT_TRUE(tlb.invalidate(7));
-    EXPECT_FALSE(tlb.invalidate(7));
+    SetAssoc tlb = arrayOf({16, 4});
+    tlb.access(7);
+    EXPECT_EQ(tlb.invalidateRange(7, 8), 1u);
+    EXPECT_EQ(tlb.invalidateRange(7, 8), 0u);
     EXPECT_FALSE(tlb.contains(7));
+}
+
+TEST(SetAssocTlb, RefillAfterHoleKeepsOneCopy)
+{
+    // Regression: a fill must scan every way for the tag before it
+    // takes an empty one. Stopping at the first hole would store a
+    // second copy of an entry resident *behind* that hole, and the
+    // copy would survive the entry's own invalidation.
+    SetAssoc tlb = arrayOf({4, 4}); // one set
+    tlb.access(1);
+    tlb.access(2);                       // ways: [1, 2, -, -]
+    EXPECT_EQ(tlb.invalidateRange(1, 2), 1u); // hole in way 0
+    EXPECT_TRUE(tlb.access(2).hit);
+    EXPECT_EQ(tlb.validCount(), 1u);
+    EXPECT_EQ(tlb.invalidateRange(2, 3), 1u);
+    EXPECT_FALSE(tlb.contains(2));
 }
 
 TEST(SetAssocTlb, InvalidateRange)
 {
-    SetAssocTlb tlb({64, 4});
+    SetAssoc tlb = arrayOf({64, 4});
     for (Vpn v = 0; v < 32; ++v)
-        tlb.insert(v);
-    const u64 dropped = tlb.invalidateVpnRange(10, 20);
+        tlb.access(v);
+    const u64 dropped = tlb.invalidateRange(10, 20);
     EXPECT_EQ(dropped, 10u);
     for (Vpn v = 0; v < 32; ++v)
         EXPECT_EQ(tlb.contains(v), v < 10 || v >= 20) << v;
@@ -72,54 +99,106 @@ TEST(SetAssocTlb, InvalidateRange)
 
 TEST(SetAssocTlb, FlushAllEmpties)
 {
-    SetAssocTlb tlb({16, 4});
+    SetAssoc tlb = arrayOf({16, 4});
     for (Vpn v = 0; v < 16; ++v)
-        tlb.insert(v);
+        tlb.access(v);
     tlb.flushAll();
     EXPECT_EQ(tlb.validCount(), 0u);
 }
 
 TEST(SetAssocTlb, FullAssociativityActsAsOneSet)
 {
-    SetAssocTlb tlb({4, 4}); // fully associative
+    SetAssoc tlb = arrayOf({4, 4}); // fully associative
     for (Vpn v = 100; v < 104; ++v)
-        tlb.insert(v);
+        tlb.access(v);
     EXPECT_EQ(tlb.validCount(), 4u);
-    tlb.insert(200); // evicts LRU = 100
+    tlb.access(200); // evicts LRU = 100
     EXPECT_FALSE(tlb.contains(100));
     EXPECT_TRUE(tlb.contains(103));
 }
 
+namespace {
+
+/**
+ * Drive `real` and the oracle's reference model with one random
+ * stream of lookups, fused accesses, range invalidations and flushes,
+ * asserting identical hit results and resident counts after every
+ * operation and identical contents at the end. Keys are drawn from a
+ * few times the capacity so sets stay contended and holes are
+ * refilled while older entries sit behind them.
+ */
+void
+expectMatchesReference(u64 sets, u32 ways, bool mru_hint, u64 seed,
+                       int ops)
+{
+    SetAssoc real(sets, ways, mru_hint);
+    const tlb::TlbParams shape{static_cast<u32>(sets * ways), ways};
+    sim::RefSetAssoc ref(shape);
+    const u64 keys = sets * ways * 3;
+    Rng rng(seed);
+    for (int i = 0; i < ops; ++i) {
+        const u64 key = rng.below(keys);
+        const u64 op = rng.below(100);
+        if (op < 30) {
+            ASSERT_EQ(real.lookup(key), ref.lookup(key)) << "op " << i;
+        } else if (op < 94) {
+            ASSERT_EQ(real.access(key).hit, ref.access(key)) << "op " << i;
+        } else if (op < 99) {
+            const u64 hi = key + 1 + rng.below(sets * 2);
+            ASSERT_EQ(real.invalidateRange(key, hi),
+                      ref.invalidateRange(key, hi))
+                << "op " << i;
+        } else {
+            real.flushAll();
+            ref = sim::RefSetAssoc(shape);
+        }
+        ASSERT_EQ(real.validCount(), ref.validCount()) << "op " << i;
+    }
+    u64 resident = 0;
+    real.forEachValid([&](u64 key) {
+        ++resident;
+        EXPECT_TRUE(ref.lookup(key)) << key;
+    });
+    EXPECT_EQ(resident, ref.validCount());
+}
+
+} // namespace
+
 TEST(SetAssocTlbAccess, CombinedAccessMatchesLookupThenInsert)
 {
-    // access() fuses the lookup + insert pair the hierarchy used to
-    // issue; the hit results and resulting contents must match the
-    // two-call sequence exactly on an arbitrary stream, including one
-    // with invalidation holes.
-    SetAssocTlb combined({16, 4});
-    SetAssocTlb reference({16, 4});
-    u64 probe = 0x9e3779b97f4a7c15ull;
-    for (int i = 0; i < 4000; ++i) {
-        probe = probe * 6364136223846793005ull + 1442695040888963407ull;
-        const Vpn vpn = (probe >> 33) % 48; // heavy set contention
-        if (i % 97 == 13) {
-            EXPECT_EQ(combined.invalidate(vpn), reference.invalidate(vpn));
-            continue;
-        }
-        const bool ref_hit = reference.lookup(vpn);
-        if (!ref_hit)
-            reference.insert(vpn);
-        const auto result = combined.access(vpn);
-        ASSERT_EQ(result.hit, ref_hit) << "op " << i << " vpn " << vpn;
-        ASSERT_EQ(combined.validCount(), reference.validCount()) << i;
-    }
-    for (Vpn vpn = 0; vpn < 48; ++vpn)
-        EXPECT_EQ(combined.contains(vpn), reference.contains(vpn)) << vpn;
+    // The reference access() is literally lookup-then-insert with an
+    // explicit LRU scan; the fused single-scan access() must agree
+    // with it on hits, resident counts and contents.
+    expectMatchesReference(4, 4, true, 0x9e3779b97f4a7c15ull, 4000);
 }
+
+class SetAssocDifferential
+    : public ::testing::TestWithParam<std::tuple<u64, u32, bool>>
+{
+};
+
+TEST_P(SetAssocDifferential, MatchesReferenceModel)
+{
+    const auto [sets, ways, mru_hint] = GetParam();
+    for (u64 seed = 1; seed <= 3; ++seed)
+        expectMatchesReference(sets, ways, mru_hint, seed, 6000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, SetAssocDifferential,
+    ::testing::Values(
+        std::make_tuple(u64{1}, 2u, true),    // PML4E cache
+        std::make_tuple(u64{8}, 4u, true),    // PDE cache, L1 TLB
+        std::make_tuple(u64{16}, 8u, true),   // L2 TLB
+        std::make_tuple(u64{8}, 8u, true),    // L1 data cache
+        std::make_tuple(u64{16}, 8u, false),  // L2 data cache
+        std::make_tuple(u64{4}, 16u, false),  // LLC
+        std::make_tuple(u64{20}, 16u, false), // non-power-of-two LLC
+        std::make_tuple(u64{5}, 7u, true)));  // odd sets and ways
 
 TEST(SetAssocTlbAccess, ReportsDisplacedVictim)
 {
-    SetAssocTlb tlb({8, 2}); // 4 sets, 2 ways; set 0 holds {0,4,8,...}
+    SetAssoc tlb = arrayOf({8, 2}); // 4 sets, 2 ways; set 0 holds {0,4,8,...}
     EXPECT_EQ(tlb.access(0).displaced, std::nullopt);
     EXPECT_EQ(tlb.access(4).displaced, std::nullopt);
     const auto evicting = tlb.access(8); // set full: evicts LRU = 0
@@ -130,10 +209,10 @@ TEST(SetAssocTlbAccess, ReportsDisplacedVictim)
 
 TEST(SetAssocTlbAccess, NoVictimWhenAHoleExists)
 {
-    SetAssocTlb tlb({8, 2});
-    tlb.insert(0);
-    tlb.insert(4);
-    tlb.invalidate(0); // hole in way 0
+    SetAssoc tlb = arrayOf({8, 2});
+    tlb.access(0);
+    tlb.access(4);
+    tlb.invalidateRange(0, 1); // hole in way 0
     const auto result = tlb.access(8);
     EXPECT_FALSE(result.hit);
     EXPECT_EQ(result.displaced, std::nullopt);
@@ -143,11 +222,11 @@ TEST(SetAssocTlbAccess, NoVictimWhenAHoleExists)
 
 TEST(SetAssocTlbAccess, HitRefreshesRecency)
 {
-    SetAssocTlb tlb({8, 2});
-    tlb.insert(0);
-    tlb.insert(4);
+    SetAssoc tlb = arrayOf({8, 2});
+    tlb.access(0);
+    tlb.access(4);
     EXPECT_TRUE(tlb.access(0).hit); // 0 becomes MRU
-    tlb.insert(8);                  // evicts 4
+    tlb.access(8);                  // evicts 4
     EXPECT_TRUE(tlb.contains(0));
     EXPECT_FALSE(tlb.contains(4));
 }
@@ -156,12 +235,12 @@ TEST(SetAssocTlbMru, RepeatedLookupsStayCorrect)
 {
     // The MRU-way fast check must be behaviorally invisible: repeated
     // hits on one entry, then eviction traffic, then probes again.
-    SetAssocTlb tlb({8, 2});
-    tlb.insert(0);
-    tlb.insert(4);
+    SetAssoc tlb = arrayOf({8, 2});
+    tlb.access(0);
+    tlb.access(4);
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(tlb.lookup(0));
-    tlb.insert(8); // evicts 4; MRU hint for set 0 now points at 8's way
+    tlb.access(8); // evicts 4; MRU hint for set 0 now points at 8's way
     EXPECT_FALSE(tlb.lookup(4));
     EXPECT_TRUE(tlb.lookup(0));
     EXPECT_TRUE(tlb.lookup(8));
@@ -169,12 +248,12 @@ TEST(SetAssocTlbMru, RepeatedLookupsStayCorrect)
 
 TEST(SetAssocTlbMru, StaleHintAfterInvalidateIsSafe)
 {
-    SetAssocTlb tlb({8, 2});
-    tlb.insert(0);
+    SetAssoc tlb = arrayOf({8, 2});
+    tlb.access(0);
     EXPECT_TRUE(tlb.lookup(0)); // hint -> way holding 0
-    tlb.invalidate(0);
+    tlb.invalidateRange(0, 1);
     EXPECT_FALSE(tlb.lookup(0)); // hint points at an invalid way
-    tlb.insert(4);
+    tlb.access(4);
     EXPECT_TRUE(tlb.lookup(4));
     EXPECT_FALSE(tlb.lookup(0));
 }
@@ -187,11 +266,11 @@ class TlbGeometrySweep
 TEST_P(TlbGeometrySweep, CapacityIsRespected)
 {
     const auto [entries, ways] = GetParam();
-    SetAssocTlb tlb({entries, ways});
-    // Insert 4x capacity; valid count never exceeds capacity and a
-    // freshly inserted entry is always resident.
+    SetAssoc tlb = arrayOf({entries, ways});
+    // Fill 4x capacity; valid count never exceeds capacity and a
+    // freshly filled entry is always resident.
     for (Vpn v = 0; v < entries * 4; ++v) {
-        tlb.insert(v);
+        tlb.access(v);
         ASSERT_LE(tlb.validCount(), entries);
         ASSERT_TRUE(tlb.contains(v));
     }
@@ -210,9 +289,9 @@ TEST(SetAssocTlb, FlushAllResetsReplacementState)
     // Regression: flushAll() must zero the recency stamps and the MRU
     // hints along with the valid bits. A flush that leaves stale
     // stamps breaks the zeroed-stamp hole contract — post-flush
-    // inserts would report phantom displaced victims from ways the
+    // fills would report phantom displaced victims from ways the
     // victim scan should see as free.
-    SetAssocTlb tlb({8, 2}); // 4 sets, 2 ways; set 0 holds {0,4,8,...}
+    SetAssoc tlb = arrayOf({8, 2}); // 4 sets, 2 ways; set 0 holds {0,4,8,...}
     for (Vpn v : {0u, 4u, 8u, 12u})
         (void)tlb.access(v); // heat up stamps and MRU hints
     tlb.flushAll();
@@ -225,7 +304,7 @@ TEST(SetAssocTlb, FlushAllResetsReplacementState)
     EXPECT_FALSE(second.hit);
     EXPECT_EQ(second.displaced, std::nullopt);
     EXPECT_EQ(tlb.validCount(), 2u);
-    // Only now is the set full again and a third insert evicts.
+    // Only now is the set full again and a third fill evicts.
     const auto third = tlb.access(8);
     ASSERT_TRUE(third.displaced.has_value());
     EXPECT_EQ(*third.displaced, 0u);
@@ -235,11 +314,11 @@ TEST(SetAssocTlb, FlushMatchingDropsOnlyTheTaggedClass)
 {
     // flushMatching(tag, mask) underlies per-ASID invalidation: keys
     // whose masked bits equal the tag go, everything else stays.
-    SetAssocTlb tlb({16, 4});
+    SetAssoc tlb = arrayOf({16, 4});
     const Vpn kTag = Vpn(1) << 48;
-    tlb.insert(5);
-    tlb.insert(kTag | 5);
-    tlb.insert(kTag | 9);
+    tlb.access(5);
+    tlb.access(kTag | 5);
+    tlb.access(kTag | 9);
     EXPECT_EQ(tlb.flushMatching(kTag, ~(kTag - 1)), 2u);
     EXPECT_TRUE(tlb.contains(5));
     EXPECT_FALSE(tlb.contains(kTag | 5));

@@ -74,3 +74,48 @@ TEST(Options, FallbackWhenMissing)
     EXPECT_EQ(opts.get("nothing", "dflt"), "dflt");
     EXPECT_DOUBLE_EQ(opts.getDouble("nothing", 1.5), 1.5);
 }
+
+TEST(Options, SignedAndFractionalValues)
+{
+    auto opts = parse({"--n=-3", "--x=-1.5", "--y=2e3"});
+    EXPECT_EQ(opts.getInt("n", 0), -3);
+    EXPECT_DOUBLE_EQ(opts.getDouble("x", 0), -1.5);
+    EXPECT_DOUBLE_EQ(opts.getDouble("y", 0), 2000.0);
+}
+
+TEST(Options, ParseDecimalIsStrict)
+{
+    EXPECT_EQ(parseDecimal("100000"), 100000u);
+    EXPECT_EQ(parseDecimal("0"), 0u);
+    EXPECT_EQ(parseDecimal(""), std::nullopt);
+    EXPECT_EQ(parseDecimal("12x"), std::nullopt);
+    EXPECT_EQ(parseDecimal("-1"), std::nullopt);
+    EXPECT_EQ(parseDecimal(" 1"), std::nullopt);
+    EXPECT_EQ(parseDecimal("99999999999999999999999"), std::nullopt);
+}
+
+// Malformed numbers are fatal (exit 1) and name the option, instead
+// of silently becoming 0.
+TEST(OptionsDeathTest, MalformedIntegerIsFatal)
+{
+    EXPECT_EXIT(parse({"--seed=abc"}).getInt("seed", 42),
+                ::testing::ExitedWithCode(1), "--seed=abc");
+    EXPECT_EXIT(parse({"--jobs=4x"}).getInt("jobs", 1),
+                ::testing::ExitedWithCode(1), "--jobs=4x");
+    EXPECT_EXIT(parse({"--n=1.5"}).getInt("n", 0),
+                ::testing::ExitedWithCode(1), "--n=1.5");
+    EXPECT_EXIT(parse({"--n=99999999999999999999999"}).getInt("n", 0),
+                ::testing::ExitedWithCode(1), "--n=");
+}
+
+TEST(OptionsDeathTest, MalformedDoubleIsFatal)
+{
+    EXPECT_EXIT(parse({"--cap=abc"}).getDouble("cap", 8.0),
+                ::testing::ExitedWithCode(1), "--cap=abc");
+    EXPECT_EXIT(parse({"--cap=4.5%"}).getDouble("cap", 8.0),
+                ::testing::ExitedWithCode(1), "--cap=4.5%");
+    EXPECT_EXIT(parse({"--frag=nan"}).getDouble("frag", 0.5),
+                ::testing::ExitedWithCode(1), "--frag=nan");
+    EXPECT_EXIT(parse({"--frag=1e999"}).getDouble("frag", 0.5),
+                ::testing::ExitedWithCode(1), "--frag=1e999");
+}

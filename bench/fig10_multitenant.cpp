@@ -33,6 +33,7 @@
  *                        exit nonzero on the first violation
  */
 
+#include <limits>
 #include <memory>
 
 #include "common.hpp"
@@ -62,17 +63,6 @@ struct SweepOptions
     u32 quantum = 1024;
     u32 budget = 1;
 };
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        out.push_back(item);
-    return out;
-}
 
 sim::SystemConfig
 tenantConfig(const BenchEnv &env, const SweepOptions &sweep,
@@ -339,20 +329,28 @@ main(int argc, char **argv)
     sweep.budget = static_cast<u32>(opts.getInt("budget", 1));
     if (opts.has("tenants")) {
         sweep.tenants.clear();
-        for (const auto &t : splitList(opts.get("tenants")))
-            sweep.tenants.push_back(
-                static_cast<u32>(std::strtoul(t.c_str(), nullptr, 10)));
+        for (const u64 t : opts.getDecimalList("tenants")) {
+            if (t == 0 || t > std::numeric_limits<u32>::max()) {
+                fatal("--tenants=", opts.get("tenants"),
+                      " holds a tenant count outside [1, 2^32)");
+            }
+            sweep.tenants.push_back(static_cast<u32>(t));
+        }
     }
     if (opts.has("frag")) {
-        sweep.frags.clear();
-        for (const auto &f : splitList(opts.get("frag")))
-            sweep.frags.push_back(std::strtod(f.c_str(), nullptr));
+        sweep.frags = opts.getDoubleList("frag");
+        for (const double f : sweep.frags) {
+            if (f < 0.0 || f > 1.0) {
+                fatal("--frag=", opts.get("frag"),
+                      " holds a fragmentation outside [0, 1]");
+            }
+        }
     }
     if (opts.has("arbiter"))
-        sweep.arbiters = splitList(opts.get("arbiter"));
+        sweep.arbiters = splitCsv(opts.get("arbiter"));
     if (opts.has("switch")) {
         sweep.modes.clear();
-        for (const auto &m : splitList(opts.get("switch"))) {
+        for (const auto &m : splitCsv(opts.get("switch"))) {
             const auto mode = tenant::parseSwitchMode(m);
             if (!mode)
                 fatal("unknown --switch=", m, " (use flush or asid)");

@@ -37,9 +37,20 @@ BM_PccTouchMissEvict(benchmark::State &state)
         {static_cast<u32>(state.range(0)), 8});
     u64 v = 0;
     for (auto _ : state)
-        pcc.touch(v++); // always a miss once full: worst-case scan
+        pcc.touch(v++); // always a miss once full: evicts every time
 }
 BENCHMARK(BM_PccTouchMissEvict)->Arg(32)->Arg(128)->Arg(1024);
+
+static void
+BM_PccTouchMissEvictLru(benchmark::State &state)
+{
+    PromotionCandidateCache pcc({static_cast<u32>(state.range(0)), 8,
+                                 pcc::Replacement::PureLru});
+    u64 v = 0;
+    for (auto _ : state)
+        pcc.touch(v++);
+}
+BENCHMARK(BM_PccTouchMissEvictLru)->Arg(32)->Arg(1024);
 
 static void
 BM_PccMixedWorkingSet(benchmark::State &state)
@@ -73,25 +84,33 @@ BENCHMARK(BM_PccSnapshot)->Arg(128)->Arg(1024);
 static void
 BM_PccInvalidate(benchmark::State &state)
 {
-    PromotionCandidateCache pcc({128, 8});
-    u64 v = 0;
+    // Insert-then-shoot-down into a table that is otherwise full and
+    // spread over many counter values.
+    const u32 entries = static_cast<u32>(state.range(0));
+    PromotionCandidateCache pcc({entries, 8});
+    for (u32 v = 0; v + 1 < entries; ++v) {
+        for (u32 i = 0; i <= v % 64; ++i)
+            pcc.touch(v);
+    }
+    u64 v = entries;
     for (auto _ : state) {
         pcc.touch(v);
         pcc.invalidate(v);
         ++v;
     }
 }
-BENCHMARK(BM_PccInvalidate);
+BENCHMARK(BM_PccInvalidate)->Arg(128)->Arg(1024);
 
 static void
 BM_PccDecayStorm(benchmark::State &state)
 {
     // Worst case: one entry saturates repeatedly, halving all
     // counters each time.
-    PromotionCandidateCache pcc({128, 4});
-    for (u32 v = 0; v < 128; ++v)
+    const u32 entries = static_cast<u32>(state.range(0));
+    PromotionCandidateCache pcc({entries, 4});
+    for (u32 v = 0; v < entries; ++v)
         pcc.touch(v);
     for (auto _ : state)
         pcc.touch(0);
 }
-BENCHMARK(BM_PccDecayStorm);
+BENCHMARK(BM_PccDecayStorm)->Arg(128)->Arg(1024);

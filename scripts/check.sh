@@ -49,6 +49,12 @@
 #                         multi-tenant determinism, ASID < flush
 #                         walks), then a reduced sweep must emit
 #                         byte-identical CSV at --jobs=1 and --jobs=4
+#   pcc                   the PCC's randomized differential test
+#                         against its reference model (with its
+#                         planted-bug self-test), then micro_pcc
+#                         MissEvict: evicting from 1024 entries may
+#                         cost at most 4x evicting from 32 in the same
+#                         run (the O(1) victim claim, host-independent)
 #   histograms            tail-latency telemetry: --histograms must be
 #                         metrics-neutral (plain output is a byte
 #                         prefix of the histogram run), byte-identical
@@ -479,10 +485,60 @@ PYEOF
     echo "==> [histograms] clean"
 }
 
+run_pcc() {
+    echo "==> [pcc] configuring build-det"
+    cmake -B build-det -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    echo "==> [pcc] building test_pcc_differential + micro_pcc"
+    cmake --build build-det -j "$(nproc)" --target test_pcc_differential \
+        --target micro_pcc >/dev/null
+    echo "==> [pcc] differential test against the reference PCC"
+    ./build-det/tests/test_pcc_differential --gtest_brief=1
+    echo "==> [pcc] MissEvict/1024 must cost <= 4x MissEvict/32"
+    local tmp
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' RETURN
+    ./build-det/bench/micro_pcc --benchmark_filter=MissEvict \
+        --benchmark_min_time=0.1 --benchmark_format=json \
+        > "$tmp/micro.json"
+    python3 - "$tmp/micro.json" <<'PYEOF'
+import json, sys
+
+LIMIT = 4.0
+
+def failures(ns):
+    """Rows whose 1024-entry eviction costs > LIMIT x the 32-entry one."""
+    bad = []
+    for name in ("BM_PccTouchMissEvict", "BM_PccTouchMissEvictLru"):
+        small, large = ns[name + "/32"], ns[name + "/1024"]
+        if large > LIMIT * small:
+            bad.append(f"{name}: /1024 {large:.1f} ns = "
+                       f"{large / small:.1f}x /32 {small:.1f} ns")
+    return bad
+
+# Self-test: the linear victim scan this gate exists to keep out
+# measured 159 ns at 32 entries and 4429 ns at 1024 (27.9x).
+scan = {"BM_PccTouchMissEvict/32": 159.0,
+        "BM_PccTouchMissEvict/1024": 4429.0,
+        "BM_PccTouchMissEvictLru/32": 161.0,
+        "BM_PccTouchMissEvictLru/1024": 3806.0}
+assert len(failures(scan)) == 2, "gate does not reject an O(n) scan"
+
+rows = json.load(open(sys.argv[1]))["benchmarks"]
+ns = {r["name"]: r["cpu_time"] for r in rows}
+bad = failures(ns)
+for name in sorted(ns):
+    print(f"  {name:32s} {ns[name]:9.1f} ns")
+if bad:
+    sys.exit("pcc gate FAILED: " + "; ".join(bad))
+print("eviction cost is flat in the PCC size")
+PYEOF
+    echo "==> [pcc] clean"
+}
+
 gates=("$@")
 if [ ${#gates[@]} -eq 0 ]; then
     gates=(address undefined determinism telemetry attribution bench \
-           registry sampling fuzz resume tenant histograms)
+           registry sampling fuzz resume tenant histograms pcc)
 fi
 
 for gate in "${gates[@]}"; do
@@ -520,10 +576,13 @@ for gate in "${gates[@]}"; do
       histograms)
          run_histograms
          continue ;;
+      pcc)
+         run_pcc
+         continue ;;
       *) echo "unknown gate '$gate'" \
               "(use address|undefined|thread|determinism|telemetry|" \
               "attribution|bench|registry|sampling|fuzz|resume|tenant|" \
-              "histograms)" >&2
+              "histograms|pcc)" >&2
          exit 2 ;;
     esac
 

@@ -92,10 +92,17 @@ util::Status
 PolicyRegistry::validateSelector(std::string_view selector) const
 {
     const util::Selector sel = util::Selector::parse(selector);
-    if (!find(sel.key))
+    const Entry *entry = find(sel.key);
+    if (!entry)
         return unknownKeyError(sel.key);
     util::Status status;
-    (void)util::ParamMap::parse(sel.params, status);
+    const util::ParamMap params =
+        util::ParamMap::parse(sel.params, status);
+    if (const util::Status types = params.checkTypes(entry->grammar);
+        !types.ok()) {
+        status.update(util::Status::error("policy '", std::string(selector),
+                                          "': ", types.toString()));
+    }
     return status;
 }
 

@@ -122,7 +122,11 @@ class PolicyRegistry
     /** Status for an unknown key, with a "did you mean" hint. */
     util::Status unknownKeyError(std::string_view key) const;
 
-    /** Validate a selector without constructing (SystemConfig-free). */
+    /**
+     * Validate a selector without constructing (SystemConfig-free): the
+     * key, the param syntax, and every numeric param value against the
+     * entry's grammar.
+     */
     util::Status validateSelector(std::string_view selector) const;
 
   private:

@@ -25,12 +25,25 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace pccsim::pcc {
+
+/**
+ * Widest accepted frequency counter. A counter never holds more than
+ * counterMax(), so every counter fits a u32; SystemConfig::validate()
+ * and the constructor share this bound.
+ */
+inline constexpr u32 kMaxCounterBits = 32;
+
+/**
+ * Largest accepted PCC, far above any hardware size (the paper sweeps
+ * up to 1024). Keeps the region index, four times the next power of two,
+ * addressable by u32 and its memory bounded.
+ */
+inline constexpr u32 kMaxEntries = 1u << 20;
 
 /** Replacement policies evaluated in Sec. 3.2.1. */
 enum class Replacement : u8
@@ -57,6 +70,18 @@ struct Candidate
     u64 frequency; //!< saturating-counter value at snapshot time
 };
 
+/**
+ * Every operation is O(1) or O(entries it returns); decay is
+ * O(entries + distinct counter values). Entries live in a fixed pool
+ * of `entries` slots, linked by u32 index. Each distinct counter value
+ * present is one bucket on an ascending doubly-linked list, and a
+ * bucket keeps its entries oldest-first. Stamps are unique and only
+ * grow, so appending a touched entry at the tail of its new bucket keeps
+ * that order. The LFU-LRU victim is therefore the head of the lowest
+ * bucket, and the ranked snapshot is the buckets highest-first, each
+ * read tail to head. Pure-LRU mode also threads every entry on one
+ * recency list, whose head is its victim.
+ */
 class PromotionCandidateCache
 {
   public:
@@ -88,7 +113,7 @@ class PromotionCandidateCache
     /** Drop all entries (process exit / explicit reset). */
     void clear();
 
-    u32 size() const { return static_cast<u32>(index_.size()); }
+    u32 size() const { return size_; }
     u32 capacity() const { return config_.entries; }
     bool full() const { return size() == capacity(); }
     const PccConfig &config() const { return config_; }
@@ -126,20 +151,72 @@ class PromotionCandidateCache
     void resetStats();
 
   private:
-    struct Entry
+    static constexpr u32 kNil = ~0u;
+
+    struct alignas(32) Entry // never straddles a cache line
     {
         Vpn region = 0;
-        u64 frequency = 0;
-        u64 stamp = 0; //!< recency clock for LRU / tiebreak
+        u64 stamp = 0;     //!< recency clock: unique, only grows
+        u32 bucket = kNil; //!< owning bucket (its counter value)
+        u32 prev = kNil;   //!< older neighbour in the bucket
+        u32 next = kNil;   //!< newer neighbour; free-list link
     };
 
-    u32 victimIndex() const;
+    struct Bucket
+    {
+        u32 frequency = 0;
+        u32 head = kNil;   //!< oldest entry
+        u32 tail = kNil;   //!< newest entry
+        u32 lower = kNil;  //!< next lower non-empty bucket
+        u32 higher = kNil; //!< next higher; free-list link
+    };
+
+    /** Pure-LRU recency list links, parallel to entries_. */
+    struct Recency
+    {
+        u32 older = kNil;
+        u32 newer = kNil;
+    };
+
+    /**
+     * Index lookup: the slot holding `region`, or kNil. The index is an
+     * open-addressed table of slots, at most a quarter full, with
+     * Fibonacci hashing and linear probing; a cell matches when its
+     * entry holds the region, so a hit reads the entry it is about to
+     * update anyway.
+     */
+    u32 find(Vpn region) const;
+    u32 home(Vpn region) const;
+    void indexInsert(u32 slot);
+    void indexErase(u32 slot);
+    void hit(u32 slot);
+    void insert(u32 slot, Vpn region);
+    void decay();
+    void unlink(u32 slot);
+    void append(u32 bucket, u32 slot);
+    void detach(u32 slot);
+    void mergeInto(u32 dst, u32 src);
+    u32 newBucket(u32 lower, u32 frequency);
+    void dropBucket(u32 bucket);
 
     PccConfig config_;
+    u64 counter_max_; //!< config_.counterMax(), read on every hit
+    bool lru_;        //!< Replacement::PureLru
     std::vector<Entry> entries_;
-    std::unordered_map<Vpn, u32> index_; //!< region -> entries_ slot
+    std::vector<Bucket> buckets_;
+    std::vector<Recency> recency_; //!< empty unless PureLru
+    std::vector<u32> index_;       //!< slot per cell, kNil = empty
+    u32 index_mask_ = 0;
+    u32 index_shift_ = 0;
     std::function<void(Vpn)> evicted_;
     u64 clock_ = 0;
+    u32 size_ = 0;
+    u32 free_entry_ = kNil;
+    u32 free_bucket_ = kNil;
+    u32 lowest_ = kNil;  //!< lowest non-empty bucket
+    u32 highest_ = kNil; //!< highest non-empty bucket
+    u32 oldest_ = kNil;  //!< recency list ends (PureLru only)
+    u32 newest_ = kNil;
 
     u64 hits_ = 0;
     u64 misses_ = 0;

@@ -6,6 +6,7 @@
 #include "os/policy_registry.hpp"
 #include "sim/invariants.hpp"
 #include "tlb/hw_registry.hpp"
+#include "util/heap.hpp"
 #include "util/host_profile.hpp"
 #include "util/log.hpp"
 
@@ -221,12 +222,15 @@ SystemConfig::validate() const
 
     const auto checkPcc = [&status](const char *label,
                                     const pcc::PccConfig &p) {
-        if (p.entries == 0)
-            status.update(Status::error(label, ": zero entries"));
-        if (p.counter_bits < 1 || p.counter_bits > 63) {
+        if (p.entries == 0 || p.entries > pcc::kMaxEntries) {
+            status.update(Status::error(label, ": entries ", p.entries,
+                                        " outside [1, ", pcc::kMaxEntries,
+                                        "]"));
+        }
+        if (p.counter_bits < 1 || p.counter_bits > pcc::kMaxCounterBits) {
             status.update(Status::error(
                 label, ": counter_bits ", p.counter_bits,
-                " outside [1, 63]"));
+                " outside [1, ", pcc::kMaxCounterBits, "]"));
         }
     };
     checkPcc("pcc.pcc2m", pcc.pcc2m);
@@ -318,6 +322,7 @@ SystemConfig::validate() const
 
 System::System(SystemConfig config) : config_(std::move(config))
 {
+    util::retainFreedHeap();
     // Config transforms must land before any core hardware is built:
     // the hw backend reshapes TLB/cache geometry, and a policy's
     // prepare hook may enable the 1GB PCC.

@@ -79,10 +79,17 @@ HwRegistry::validateSelector(std::string_view selector) const
     if (selector.empty())
         return {};
     const util::Selector sel = util::Selector::parse(selector);
-    if (!find(sel.key))
+    const Entry *entry = find(sel.key);
+    if (!entry)
         return unknownKeyError(sel.key);
     util::Status status;
-    (void)util::ParamMap::parse(sel.params, status);
+    const util::ParamMap params =
+        util::ParamMap::parse(sel.params, status);
+    if (const util::Status types = params.checkTypes(entry->grammar);
+        !types.ok()) {
+        status.update(util::Status::error("hw backend '", std::string(selector),
+                                          "': ", types.toString()));
+    }
     return status;
 }
 

@@ -71,7 +71,11 @@ class HwRegistry
     /** Status for an unknown key, with a "did you mean" hint. */
     util::Status unknownKeyError(std::string_view key) const;
 
-    /** Validate a selector without applying (SystemConfig-free). */
+    /**
+     * Validate a selector without applying (SystemConfig-free): the
+     * key, the param syntax, and every numeric param value against the
+     * entry's grammar.
+     */
     util::Status validateSelector(std::string_view selector) const;
 
   private:

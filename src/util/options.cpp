@@ -63,13 +63,47 @@ Options::getDouble(const std::string &name, double fallback) const
     auto it = values_.find(name);
     if (it == values_.end() || it->second.empty())
         return fallback;
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+    const std::optional<double> v = parseFinite(it->second);
+    if (!v)
         fatal("--", name, "=", it->second, " is not a finite number");
-    return v;
+    return *v;
+}
+
+namespace {
+
+/** Parse every item of --name's list with `parse`, or die naming it. */
+template <typename T, typename Parse>
+std::vector<T>
+listOf(const Options &opts, const std::string &name, Parse parse,
+       const char *what)
+{
+    std::vector<T> out;
+    if (!opts.has(name))
+        return out;
+    const std::string text = opts.get(name);
+    for (const std::string &item : splitCsv(text)) {
+        const auto v = parse(item);
+        if (!v)
+            fatal("--", name, "=", text, " is not a list of ", what);
+        out.push_back(*v);
+    }
+    if (out.empty())
+        fatal("--", name, "=", text, " is not a list of ", what);
+    return out;
+}
+
+} // namespace
+
+std::vector<u64>
+Options::getDecimalList(const std::string &name) const
+{
+    return listOf<u64>(*this, name, parseDecimal, "unsigned integers");
+}
+
+std::vector<double>
+Options::getDoubleList(const std::string &name) const
+{
+    return listOf<double>(*this, name, parseFinite, "finite numbers");
 }
 
 bool
@@ -93,6 +127,34 @@ parseDecimal(const std::string &text)
     if (errno == ERANGE)
         return std::nullopt;
     return v;
+}
+
+std::optional<double>
+parseFinite(const std::string &text)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+std::vector<std::string>
+splitCsv(const std::string &csv)
+{
+    std::vector<std::string> out;
+    if (csv.empty())
+        return out;
+    size_t pos = 0;
+    while (true) {
+        const size_t comma = csv.find(',', pos);
+        out.push_back(csv.substr(pos, comma - pos));
+        if (comma == std::string::npos)
+            return out;
+        pos = comma + 1;
+    }
 }
 
 } // namespace pccsim

@@ -45,6 +45,20 @@ class Options
      */
     double getDouble(const std::string &name, double fallback) const;
 
+    /**
+     * Comma-separated unsigned decimals (each as parseDecimal), or an
+     * empty list when absent. An empty list or any malformed item is
+     * fatal, naming the option.
+     */
+    std::vector<u64> getDecimalList(const std::string &name) const;
+
+    /**
+     * Comma-separated finite numbers (each as parseFinite), or an empty
+     * list when absent. An empty list or any malformed item is fatal,
+     * naming the option.
+     */
+    std::vector<double> getDoubleList(const std::string &name) const;
+
     /** Boolean: present with no value or value in {1,true,yes,on}. */
     bool getBool(const std::string &name, bool fallback = false) const;
 
@@ -60,5 +74,15 @@ class Options
  * in a u64. Returns nullopt otherwise (including for "" and "-1").
  */
 std::optional<u64> parseDecimal(const std::string &text);
+
+/**
+ * Strict finite number: the whole of `text` must parse as a double
+ * that is neither infinite nor NaN. Returns nullopt otherwise
+ * (including for "", "4.5%" and "1e999").
+ */
+std::optional<double> parseFinite(const std::string &text);
+
+/** Split on commas: "a,,b" gives "a", "", "b"; "" gives nothing. */
+std::vector<std::string> splitCsv(const std::string &csv);
 
 } // namespace pccsim

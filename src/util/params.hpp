@@ -13,12 +13,13 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/options.hpp"
 #include "util/status.hpp"
 #include "util/types.hpp"
 
@@ -103,22 +104,33 @@ class ParamMap
         return e ? e->value : std::move(fallback);
     }
 
+    /**
+     * Unsigned decimal value (strict, as parseDecimal). A malformed
+     * value yields the fallback and fails checkConsumed().
+     */
     u64
     getU64(std::string_view name, u64 fallback) const
     {
         const Entry *e = find(name);
         if (!e)
             return fallback;
-        return std::strtoull(e->value.c_str(), nullptr, 10);
+        const std::optional<u64> v = parseDecimal(e->value);
+        if (!v)
+            malformed(*e, kUnsigned);
+        return v.value_or(fallback);
     }
 
+    /** Finite number (strict, as parseFinite); see getU64. */
     double
     getDouble(std::string_view name, double fallback) const
     {
         const Entry *e = find(name);
         if (!e)
             return fallback;
-        return std::strtod(e->value.c_str(), nullptr);
+        const std::optional<double> v = parseFinite(e->value);
+        if (!v)
+            malformed(*e, kFinite);
+        return v.value_or(fallback);
     }
 
     bool
@@ -139,7 +151,7 @@ class ParamMap
     Status
     checkConsumed() const
     {
-        Status status;
+        Status status = malformed_;
         for (const Entry &e : entries_) {
             if (!e.consumed) {
                 status.update(Status::error("unknown param '", e.name,
@@ -149,13 +161,62 @@ class ParamMap
         return status;
     }
 
+    /**
+     * Check every value against the type its name has in `grammar`
+     * (the registry's `name=TYPE,...` string): N, POW2 and CYCLES
+     * values must be unsigned decimals. Lets a config be rejected
+     * before any factory reads it; names the param and its value.
+     */
+    Status
+    checkTypes(std::string_view grammar) const
+    {
+        Status status;
+        for (const Entry &e : entries_) {
+            const std::string type = typeIn(grammar, e.name);
+            if ((type == "N" || type == "POW2" || type == "CYCLES") &&
+                !parseDecimal(e.value)) {
+                status.update(Status::error("param '", e.name, "=",
+                                            e.value, "' ", kUnsigned));
+            }
+        }
+        return status;
+    }
+
   private:
+    static constexpr const char *kUnsigned = "is not an unsigned integer";
+    static constexpr const char *kFinite = "is not a finite number";
+
     struct Entry
     {
         std::string name;
         std::string value;
         mutable bool consumed = false;
     };
+
+    void
+    malformed(const Entry &e, const char *what) const
+    {
+        malformed_.update(
+            Status::error("param '", e.name, "=", e.value, "' ", what));
+    }
+
+    /** TYPE of `name=TYPE` in a grammar string, "" when absent. */
+    static std::string
+    typeIn(std::string_view grammar, std::string_view name)
+    {
+        size_t pos = 0;
+        while (pos < grammar.size()) {
+            size_t end = grammar.find(',', pos);
+            if (end == std::string_view::npos)
+                end = grammar.size();
+            const std::string_view item = grammar.substr(pos, end - pos);
+            pos = end + 1;
+            const auto eq = item.find('=');
+            if (eq != std::string_view::npos && item.substr(0, eq) == name)
+                return std::string(item.substr(eq + 1));
+        }
+        return {};
+    }
 
     const Entry *
     find(std::string_view name) const
@@ -170,6 +231,7 @@ class ParamMap
     }
 
     std::vector<Entry> entries_;
+    mutable Status malformed_; //!< first malformed typed lookup
 };
 
 /**

@@ -195,6 +195,79 @@ TEST(Registry, MalformedSelectorParamsAreRejected)
     EXPECT_FALSE(status.ok());
 }
 
+// A numeric selector param that is not wholly a number is rejected by
+// validate(), naming the selector, the key and the value, instead of
+// silently becoming 0.
+TEST(Registry, ConfigValidateRejectsMalformedNumericParams)
+{
+    const auto rejected = [](const std::string &policy,
+                             const std::string &hw,
+                             const std::string &param) {
+        SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+        cfg.policy_str = policy;
+        cfg.hw = hw;
+        const util::Status status = cfg.validate();
+        EXPECT_FALSE(status.ok()) << policy << hw;
+        const std::string text = status.toString();
+        EXPECT_NE(text.find("'" + policy + hw + "'"), std::string::npos)
+            << text;
+        EXPECT_NE(text.find(param), std::string::npos) << text;
+    };
+    rejected("pcc:promote=abc", "", "promote=abc");
+    rejected("pcc:order=rr,minfreq=4x", "", "minfreq=4x");
+    rejected("trident:max1g=-1", "", "max1g=-1");
+    rejected("ubpf:prog=topk,helpers=", "", "helpers=");
+    rejected("", "victima-reach:mult=abc", "mult=abc");
+    rejected("", "victima-reach:latency=4cycles", "latency=4cycles");
+
+    // Well-formed numbers and non-numeric params still pass.
+    for (const char *policy : {"pcc:promote=8,order=rr", "ubpf:prog=topk",
+                               "trident:max1g=2,compact=1"}) {
+        SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+        cfg.policy_str = policy;
+        EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+    }
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    cfg.hw = "victima-reach:mult=4,latency=2";
+    EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+}
+
+TEST(Registry, MalformedNumericParamFailsAtBuildTime)
+{
+    util::Status status;
+    EXPECT_EQ(makePolicy("pcc:promote=abc", status), nullptr);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.toString().find("promote=abc"), std::string::npos)
+        << status.toString();
+
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    const util::Status hw =
+        tlb::HwRegistry::instance().apply("victima-reach:mult=abc", cfg);
+    ASSERT_FALSE(hw.ok());
+    EXPECT_NE(hw.toString().find("mult=abc"), std::string::npos)
+        << hw.toString();
+}
+
+TEST(Registry, ParamMapTypedLookupsAreStrict)
+{
+    util::Status parsed;
+    const auto pm = util::ParamMap::parse("n=12,x=0.5,bad=1.5,worse=nan",
+                                          parsed);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(pm.getU64("n", 0), 12u);
+    EXPECT_DOUBLE_EQ(pm.getDouble("x", 0), 0.5);
+    EXPECT_TRUE(pm.checkConsumed().ok() == false); // bad, worse unread
+    EXPECT_EQ(pm.getU64("bad", 7), 7u);            // fallback
+    EXPECT_DOUBLE_EQ(pm.getDouble("worse", 2.5), 2.5);
+    const util::Status status = pm.checkConsumed();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.toString().find("bad=1.5"), std::string::npos)
+        << status.toString();
+
+    EXPECT_TRUE(pm.checkTypes("n=N,x=REAL,bad=NAME").ok());
+    EXPECT_FALSE(pm.checkTypes("n=N,bad=N").ok());
+}
+
 TEST(Registry, UnknownUbpfProgramListsBuiltins)
 {
     util::Status status;

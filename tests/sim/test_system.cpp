@@ -223,6 +223,45 @@ TEST(SystemConfigValidate, RejectsImpossibleGeometry)
         << odd_sets.validate().toString();
 }
 
+// validate() and the PCC constructor share one counter-width limit and
+// one size limit: a width validate() accepts must construct, and the
+// next one up must be a Status error naming the PCC rather than a
+// constructor abort.
+TEST(SystemConfigValidate, PccLimitsMatchTheConstructor)
+{
+    SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);
+    cfg.pcc.enable_1g = true;
+    cfg.pcc.pcc2m.counter_bits = pcc::kMaxCounterBits;
+    cfg.pcc.pcc1g.counter_bits = pcc::kMaxCounterBits;
+    EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+    pcc::PccUnit unit(cfg.pcc);
+    EXPECT_EQ(unit.pcc2m().config().counter_bits, 32u);
+
+    SystemConfig wide2m = cfg;
+    wide2m.pcc.pcc2m.counter_bits = 33;
+    const auto status2m = wide2m.validate();
+    ASSERT_FALSE(status2m.ok());
+    EXPECT_NE(status2m.toString().find("pcc.pcc2m"), std::string::npos)
+        << status2m.toString();
+
+    SystemConfig wide1g = cfg;
+    wide1g.pcc.pcc1g.counter_bits = 33;
+    const auto status1g = wide1g.validate();
+    ASSERT_FALSE(status1g.ok());
+    EXPECT_NE(status1g.toString().find("pcc.pcc1g"), std::string::npos)
+        << status1g.toString();
+
+    // The same holds for the entry count.
+    SystemConfig huge = SystemConfig::forScale(workloads::Scale::Ci);
+    huge.pcc.pcc2m.entries = pcc::kMaxEntries + 1;
+    const auto huge_status = huge.validate();
+    ASSERT_FALSE(huge_status.ok());
+    EXPECT_NE(huge_status.toString().find("pcc.pcc2m"), std::string::npos)
+        << huge_status.toString();
+    huge.pcc.pcc2m.entries = pcc::kMaxEntries;
+    EXPECT_TRUE(huge.validate().ok()) << huge.validate().toString();
+}
+
 TEST(SystemConfigValidate, RejectsNonsenseRunParameters)
 {
     SystemConfig cfg = SystemConfig::forScale(workloads::Scale::Ci);

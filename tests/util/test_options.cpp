@@ -119,3 +119,52 @@ TEST(OptionsDeathTest, MalformedDoubleIsFatal)
     EXPECT_EXIT(parse({"--frag=1e999"}).getDouble("frag", 0.5),
                 ::testing::ExitedWithCode(1), "--frag=1e999");
 }
+
+TEST(Options, ParseFiniteIsStrict)
+{
+    EXPECT_EQ(parseFinite("0.9"), 0.9);
+    EXPECT_EQ(parseFinite("-2e3"), -2000.0);
+    EXPECT_EQ(parseFinite(""), std::nullopt);
+    EXPECT_EQ(parseFinite("x"), std::nullopt);
+    EXPECT_EQ(parseFinite("0.5x"), std::nullopt);
+    EXPECT_EQ(parseFinite("nan"), std::nullopt);
+    EXPECT_EQ(parseFinite("inf"), std::nullopt);
+    EXPECT_EQ(parseFinite("1e999"), std::nullopt);
+}
+
+TEST(Options, SplitCsvKeepsEmptyItems)
+{
+    EXPECT_EQ(splitCsv(""), std::vector<std::string>{});
+    EXPECT_EQ(splitCsv("a"), std::vector<std::string>{"a"});
+    EXPECT_EQ(splitCsv("a,,b"), (std::vector<std::string>{"a", "", "b"}));
+    EXPECT_EQ(splitCsv("a,"), (std::vector<std::string>{"a", ""}));
+}
+
+TEST(Options, DecimalAndDoubleLists)
+{
+    auto opts = parse({"--tenants=2,4,8", "--frag=0,0.9,1"});
+    EXPECT_EQ(opts.getDecimalList("tenants"),
+              (std::vector<u64>{2, 4, 8}));
+    EXPECT_EQ(opts.getDoubleList("frag"),
+              (std::vector<double>{0.0, 0.9, 1.0}));
+    EXPECT_TRUE(opts.getDecimalList("absent").empty());
+    EXPECT_TRUE(opts.getDoubleList("absent").empty());
+}
+
+// A malformed item anywhere in a list is fatal and names the option,
+// instead of becoming 0 (or, for an empty list, no sweep at all).
+TEST(OptionsDeathTest, MalformedListsAreFatal)
+{
+    EXPECT_EXIT(parse({"--tenants=abc"}).getDecimalList("tenants"),
+                ::testing::ExitedWithCode(1), "--tenants=abc is not");
+    EXPECT_EXIT(parse({"--tenants=2,x"}).getDecimalList("tenants"),
+                ::testing::ExitedWithCode(1), "--tenants=2,x is not");
+    EXPECT_EXIT(parse({"--tenants=2,,4"}).getDecimalList("tenants"),
+                ::testing::ExitedWithCode(1), "--tenants=2,,4 is not");
+    EXPECT_EXIT(parse({"--tenants="}).getDecimalList("tenants"),
+                ::testing::ExitedWithCode(1), "--tenants= is not");
+    EXPECT_EXIT(parse({"--frag=x"}).getDoubleList("frag"),
+                ::testing::ExitedWithCode(1), "--frag=x is not");
+    EXPECT_EXIT(parse({"--frag=0,nan"}).getDoubleList("frag"),
+                ::testing::ExitedWithCode(1), "--frag=0,nan is not");
+}

@@ -1,6 +1,7 @@
 #include "mem/phys_mem.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -11,43 +12,29 @@ PhysicalMemory::PhysicalMemory(u64 bytes)
       use_(bytes / kBytes4K, FrameUse::Free),
       owner_(bytes / kBytes4K),
       blocks_((bytes / kBytes4K) >> kOrder2M),
-      num_blocks_((bytes / kBytes4K) >> kOrder2M),
-      c_alloc_base_(&stats_.counter("alloc_base")),
-      c_alloc_base_fail_(&stats_.counter("alloc_base_fail")),
-      c_alloc_huge_(&stats_.counter("alloc_huge")),
-      c_alloc_huge_fail_(&stats_.counter("alloc_huge_fail")),
-      c_free_base_(&stats_.counter("free_base")),
-      c_free_huge_(&stats_.counter("free_huge")),
-      c_injected_alloc_fail_(&stats_.counter("injected_alloc_fail"))
+      num_blocks_((bytes / kBytes4K) >> kOrder2M)
 {
     PCCSIM_ASSERT(num_blocks_ > 0, "physical memory smaller than 2MB");
 }
 
 bool
-PhysicalMemory::gateDenies(unsigned order)
+PhysicalMemory::gateDenies(unsigned order) const
 {
-    if (!alloc_gate_ || alloc_gate_(order))
-        return false;
-    ++*c_injected_alloc_fail_;
-    return true;
+    return alloc_gate_ && !alloc_gate_(order);
 }
 
 std::optional<Pfn>
 PhysicalMemory::allocBase(Pid pid, Vpn vpn4k, bool bypass_gate)
 {
-    if (!bypass_gate && gateDenies(0)) {
-        ++*c_alloc_base_fail_;
+    if (!bypass_gate && gateDenies(0))
         return std::nullopt;
-    }
     auto pfn = buddy_.allocate(0);
-    if (!pfn) {
-        ++*c_alloc_base_fail_;
+    if (!pfn)
         return std::nullopt;
-    }
     use_[*pfn] = FrameUse::AppBase;
     owner_[*pfn] = {pid, vpn4k};
     ++blocks_[blockOf(*pfn)].resident;
-    ++*c_alloc_base_;
+    ++stats_.alloc_base;
     return pfn;
 }
 
@@ -55,41 +42,36 @@ std::optional<Pfn>
 PhysicalMemory::allocHuge(Pid pid, Vpn first_vpn4k)
 {
     if (gateDenies(kOrder2M)) {
-        ++*c_alloc_huge_fail_;
+        ++stats_.alloc_huge_fail;
         return std::nullopt;
     }
     auto pfn = buddy_.allocate(kOrder2M);
     if (!pfn) {
-        ++*c_alloc_huge_fail_;
+        ++stats_.alloc_huge_fail;
         return std::nullopt;
     }
     for (u64 i = 0; i < kPagesPer2M; ++i)
         use_[*pfn + i] = FrameUse::AppHuge;
     owner_[*pfn] = {pid, first_vpn4k};
     blocks_[blockOf(*pfn)].huge = true;
-    ++*c_alloc_huge_;
+    ++stats_.alloc_huge;
     return pfn;
 }
 
 std::optional<Pfn>
 PhysicalMemory::allocHuge1G(Pid pid, Vpn first_vpn4k)
 {
-    if (gateDenies(kOrder1G)) {
-        ++stats_.counter("alloc_huge1g_fail");
+    if (gateDenies(kOrder1G))
         return std::nullopt;
-    }
     auto pfn = buddy_.allocate(kOrder1G);
-    if (!pfn) {
-        ++stats_.counter("alloc_huge1g_fail");
+    if (!pfn)
         return std::nullopt;
-    }
     const u64 frames = 1ull << kOrder1G;
     for (u64 i = 0; i < frames; ++i)
         use_[*pfn + i] = FrameUse::AppHuge;
     owner_[*pfn] = {pid, first_vpn4k};
     for (u64 b = 0; b < k2MPer1G; ++b)
         blocks_[blockOf(*pfn) + b].huge = true;
-    ++stats_.counter("alloc_huge1g");
     return pfn;
 }
 
@@ -106,7 +88,6 @@ PhysicalMemory::freeHuge1G(Pfn pfn)
     for (u64 b = 0; b < k2MPer1G; ++b)
         blocks_[blockOf(pfn) + b].huge = false;
     buddy_.free(pfn, kOrder1G);
-    ++stats_.counter("free_huge1g");
 }
 
 void
@@ -117,7 +98,6 @@ PhysicalMemory::freeBase(Pfn pfn)
     owner_[pfn] = {};
     --blocks_[blockOf(pfn)].resident;
     buddy_.free(pfn, 0);
-    ++*c_free_base_;
 }
 
 void
@@ -131,7 +111,6 @@ PhysicalMemory::freeHuge(Pfn pfn)
     owner_[pfn] = {};
     blocks_[blockOf(pfn)].huge = false;
     buddy_.free(pfn, kOrder2M);
-    ++*c_free_huge_;
 }
 
 void
@@ -147,7 +126,6 @@ PhysicalMemory::splitHuge(Pfn pfn, Pid pid, Vpn first_vpn4k)
     auto &block = blocks_[blockOf(pfn)];
     block.huge = false;
     block.resident += static_cast<u32>(kPagesPer2M);
-    ++stats_.counter("split_huge");
 }
 
 void
@@ -161,7 +139,6 @@ PhysicalMemory::split1GTo2M(Pfn pfn, Pid pid, Vpn first_vpn4k)
         owner_[head] = {pid, first_vpn4k + r * kPagesPer2M};
         blocks_[blockOf(head)].huge = true; // stays huge, 2MB-grained
     }
-    ++stats_.counter("split_1g");
 }
 
 u64
@@ -186,7 +163,6 @@ PhysicalMemory::fragment(double fraction, Rng &rng)
         ++pinned_blocks_;
         ++pinned;
     }
-    stats_.counter("pinned_blocks") += pinned;
     return pinned;
 }
 
@@ -206,7 +182,6 @@ PhysicalMemory::scramble(Rng &rng)
         ++blocks_[block].resident;
         ++placed;
     }
-    stats_.counter("filler_pages") += placed;
     return placed;
 }
 
@@ -237,7 +212,7 @@ PhysicalMemory::compactOneBlock()
         if (moves_allowed == 0) {
             // Injected hard failure: the attempt aborts before
             // touching anything (lock contention / isolation failure).
-            ++stats_.counter("injected_compaction_fail");
+            ++stats_.injected_compaction_fail;
             return std::nullopt;
         }
     }
@@ -274,7 +249,7 @@ PhysicalMemory::compactOneBlockIn(u64 gig)
     if (compaction_gate_) {
         moves_allowed = compaction_gate_();
         if (moves_allowed == 0) {
-            ++stats_.counter("injected_compaction_fail");
+            ++stats_.injected_compaction_fail;
             return std::nullopt;
         }
     }
@@ -375,7 +350,7 @@ PhysicalMemory::compactBlock(u64 block, u64 avoid_gig, u32 moves_allowed)
         if (result.moves.size() >= moves_allowed) {
             // Injected partial failure: the attempt loses its isolation
             // mid-migration and must undo everything it moved.
-            ++stats_.counter("injected_compaction_abort");
+            ++stats_.injected_compaction_abort;
             rollback();
             return std::nullopt;
         }
@@ -408,9 +383,26 @@ PhysicalMemory::compactBlock(u64 block, u64 avoid_gig, u32 moves_allowed)
     for (const auto &m : result.moves)
         buddy_.free(m.from, 0);
 
-    ++stats_.counter("compactions");
-    stats_.counter("compaction_moves") += result.moves.size();
+    ++stats_.compactions;
     return result;
+}
+
+u64
+PhysStats::get(std::string_view name) const
+{
+    using Field = std::pair<std::string_view, u64 PhysStats::*>;
+    static constexpr Field kFields[] = {
+        {"alloc_base", &PhysStats::alloc_base},
+        {"alloc_huge", &PhysStats::alloc_huge},
+        {"alloc_huge_fail", &PhysStats::alloc_huge_fail},
+        {"injected_compaction_fail", &PhysStats::injected_compaction_fail},
+        {"injected_compaction_abort", &PhysStats::injected_compaction_abort},
+        {"compactions", &PhysStats::compactions},
+    };
+    for (const auto &[field, member] : kFields)
+        if (field == name)
+            return this->*member;
+    panic("unknown PhysStats counter '", name, "'");
 }
 
 } // namespace pccsim::mem

@@ -15,12 +15,12 @@
 
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "mem/buddy.hpp"
 #include "mem/paging.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/types.hpp"
 
 namespace pccsim::mem {
@@ -43,6 +43,20 @@ struct FrameOwner
 {
     Pid pid = 0;
     Vpn vpn4k = 0; //!< 4KB VPN for AppBase; 2MB-aligned first VPN for huge
+};
+
+/** Event counters of the physical memory, one field per event. */
+struct PhysStats
+{
+    u64 alloc_base = 0;       //!< 4KB frames handed out
+    u64 alloc_huge = 0;       //!< 2MB frames handed out
+    u64 alloc_huge_fail = 0;  //!< 2MB requests denied (gate or no frame)
+    u64 injected_compaction_fail = 0;  //!< attempts the gate failed
+    u64 injected_compaction_abort = 0; //!< attempts rolled back mid-way
+    u64 compactions = 0;      //!< 2MB blocks freed by compaction
+
+    /** The counter whose field has this name; aborts on any other. */
+    u64 get(std::string_view name) const;
 };
 
 class PhysicalMemory
@@ -196,7 +210,7 @@ class PhysicalMemory
     FrameUse useOf(Pfn pfn) const { return use_[pfn]; }
     FrameOwner ownerOf(Pfn pfn) const { return owner_[pfn]; }
 
-    StatGroup &stats() { return stats_; }
+    const PhysStats &stats() const { return stats_; }
 
   private:
     struct BlockInfo
@@ -222,7 +236,7 @@ class PhysicalMemory
                                                  u32 moves_allowed);
 
     /** True when the gate vetoes an allocation of the given order. */
-    bool gateDenies(unsigned order);
+    bool gateDenies(unsigned order) const;
 
     BuddyAllocator buddy_;
     AllocGate alloc_gate_;
@@ -233,17 +247,7 @@ class PhysicalMemory
     u64 num_blocks_;
     u64 pinned_blocks_ = 0;
     u64 compact_cursor_ = 0;
-    StatGroup stats_{"phys_mem"};
-    // Allocation-frequency counters resolved once: StatGroup::counter's
-    // string lookup is measurable on the per-fault hot path. Pointers
-    // stay valid for the StatGroup's lifetime (std::map storage).
-    Counter *c_alloc_base_;
-    Counter *c_alloc_base_fail_;
-    Counter *c_alloc_huge_;
-    Counter *c_alloc_huge_fail_;
-    Counter *c_free_base_;
-    Counter *c_free_huge_;
-    Counter *c_injected_alloc_fail_;
+    PhysStats stats_;
 };
 
 } // namespace pccsim::mem

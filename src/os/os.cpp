@@ -1,6 +1,7 @@
 #include "os/os.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -62,7 +63,7 @@ Os::handleFault(Process &proc, Addr vaddr, bool want_huge)
                                        mem::PageSize::Base4K))) {
             proc.pageTable().mapHuge2M(region_base, *pfn);
             proc.markRegionHuge(region_base);
-            ++stats_.counter("huge_faults");
+            ++stats_.huge_faults;
             if (audit_) {
                 audit_->record(telemetry::AuditAction::FaultHuge,
                                telemetry::AuditReason::Ok, proc.pid(),
@@ -71,7 +72,6 @@ Os::handleFault(Process &proc, Addr vaddr, bool want_huge)
             }
             return cost + params_.costs.huge_fault_extra;
         }
-        ++stats_.counter("huge_fault_fallbacks");
         if (audit_) {
             audit_->record(telemetry::AuditAction::FaultHuge,
                            auditReasonFor(PromoteStatus::NoHugeFrame),
@@ -87,7 +87,7 @@ Os::handleFault(Process &proc, Addr vaddr, bool want_huge)
         // way direct reclaim does: demote the coldest huge pages, drop
         // their never-touched (bloat) frames, and retry with the
         // injection gate bypassed so only genuine exhaustion is fatal.
-        ++stats_.counter("base_alloc_pressure");
+        ++stats_.base_alloc_pressure;
         if (params_.reclaim_on_pressure) {
             const auto reclaimed =
                 reclaimColdHugePages(params_.reclaim_batch_regions);
@@ -99,7 +99,6 @@ Os::handleFault(Process &proc, Addr vaddr, bool want_huge)
     }
     proc.pageTable().mapBase(vaddr, *pfn);
     proc.markFaulted(vaddr);
-    ++stats_.counter("base_faults");
     return cost;
 }
 
@@ -155,9 +154,9 @@ Os::acquireHugeFrame(Process &proc, Addr region_base,
     for (u32 retry = 1; retry <= params_.promote_retries; ++retry) {
         chargeBackground(params_.retry_backoff << (retry - 1));
         ++result.retries;
-        ++stats_.counter("promote_retries");
+        ++stats_.promote_retries;
         if (auto pfn = attempt_once()) {
-            ++stats_.counter("promote_retry_successes");
+            ++stats_.promote_retry_successes;
             return pfn;
         }
     }
@@ -178,7 +177,7 @@ Os::applyMoves(const std::vector<mem::PhysicalMemory::Move> &moves)
         // whichever cores run the owner.
         if (shootdown_)
             shootdown_(owner.pid(), vaddr, mem::kBytes4K);
-        ++stats_.counter("migrated_pages");
+        ++stats_.migrated_pages;
     }
 }
 
@@ -227,7 +226,6 @@ Os::promoteRegion(Process &proc, Addr region_base, bool allow_compaction,
                                      result);
     if (!huge_pfn) {
         result.status = PromoteStatus::NoHugeFrame;
-        ++stats_.counter("promotion_no_frame");
         return audited(result);
     }
 
@@ -254,9 +252,7 @@ Os::promoteRegion(Process &proc, Addr region_base, bool allow_compaction,
                                         mem::kBytes2M);
     result.app_cycles += params_.costs.promotion_conflict;
     result.status = PromoteStatus::Ok;
-    ++stats_.counter("promotions");
-    if (result.compacted)
-        ++stats_.counter("promotions_after_compaction");
+    ++stats_.promotions;
     if (promoted_)
         promoted_(proc.pid(), region_base, mem::PageSize::Huge2M);
     if (tracer_) {
@@ -346,8 +342,6 @@ Os::promoteRegion1G(Process &proc, Addr region_base,
                 }
             }
             huge_pfn = phys_.allocHuge1G(proc.pid(), first_vpn);
-            if (huge_pfn)
-                ++stats_.counter("promotion1g_compacted");
         }
     }
     if (!huge_pfn && phys_.transientFailuresPossible()) {
@@ -357,15 +351,14 @@ Os::promoteRegion1G(Process &proc, Addr region_base,
              ++retry) {
             chargeBackground(params_.retry_backoff << (retry - 1));
             ++result.retries;
-            ++stats_.counter("promote_retries");
+            ++stats_.promote_retries;
             huge_pfn = phys_.allocHuge1G(proc.pid(), first_vpn);
             if (huge_pfn)
-                ++stats_.counter("promote_retry_successes");
+                ++stats_.promote_retry_successes;
         }
     }
     if (!huge_pfn) {
         result.status = PromoteStatus::NoHugeFrame;
-        ++stats_.counter("promotion1g_no_frame");
         return audited(result);
     }
 
@@ -400,7 +393,7 @@ Os::promoteRegion1G(Process &proc, Addr region_base,
                                         mem::kBytes1G);
     result.app_cycles += params_.costs.promotion_conflict;
     result.status = PromoteStatus::Ok;
-    ++stats_.counter("promotions_1g");
+    ++stats_.promotions_1g;
     if (promoted_)
         promoted_(proc.pid(), region_base, mem::PageSize::Huge1G);
     if (tracer_) {
@@ -420,13 +413,8 @@ Os::demoteRegion1G(Process &proc, Addr region_base)
                   "demoteRegion1G on non-1GB mapping");
 
     // In-place split into 512 huge frames: physical ownership moves to
-    // per-2MB granularity.
-    for (u64 r = 0; r < mem::k2MPer1G; ++r) {
-        const Pfn pfn = mapping.pfn + r * mem::kPagesPer2M;
-        (void)pfn; // frames stay allocated; block marking is below
-    }
-    // Rebuild block-level ownership: reuse freeHuge1G+allocHuge would
-    // churn the buddy; instead adjust bookkeeping directly via split.
+    // per-2MB granularity. Freeing the gigabyte and allocating 512 huge
+    // frames would churn the buddy, so the split adjusts bookkeeping.
     phys_.split1GTo2M(mapping.pfn, proc.pid(),
                       mem::vpnOf(region_base, mem::PageSize::Base4K));
     proc.pageTable().demote1G(region_base);
@@ -436,7 +424,6 @@ Os::demoteRegion1G(Process &proc, Addr region_base)
     if (shootdown_)
         app_cycles += shootdown_(proc.pid(), region_base,
                                  mem::kBytes1G);
-    ++stats_.counter("demotions_1g");
     if (tracer_) {
         tracer_->record(telemetry::EventKind::Demotion1G, proc.pid(),
                         region_base, mem::kBytes1G, 0);
@@ -469,7 +456,7 @@ Os::demoteRegion(Process &proc, Addr region_base)
     Cycles app_cycles = 0;
     if (shootdown_)
         app_cycles += shootdown_(proc.pid(), region_base, mem::kBytes2M);
-    ++stats_.counter("demotions");
+    ++stats_.demotions;
     if (tracer_) {
         tracer_->record(telemetry::EventKind::Demotion, proc.pid(),
                         region_base, mem::kBytes2M, 0);
@@ -523,7 +510,7 @@ Os::reclaimColdHugePages(u32 max_regions)
                       });
 
     ReclaimResult result;
-    ++stats_.counter("reclaim_events");
+    ++stats_.reclaim_events;
     for (u64 v = 0; v < take; ++v) {
         const Victim &victim = candidates[v];
         Process &proc = process(victim.pid);
@@ -537,7 +524,7 @@ Os::reclaimColdHugePages(u32 max_regions)
         }
         result.app_cycles += demoteRegion(proc, victim.base);
         ++result.regions_demoted;
-        ++stats_.counter("reclaim_demotions");
+        ++stats_.reclaim_demotions;
 
         // The split left 512 individually-mapped base frames; the
         // never-touched ones hold no data, so unmap and free them.
@@ -558,7 +545,7 @@ Os::reclaimColdHugePages(u32 max_regions)
         }
         proc.bloat_pages_ -= freed;
         result.frames_freed += freed;
-        stats_.counter("reclaimed_frames") += freed;
+        stats_.reclaimed_frames += freed;
     }
     if (tracer_) {
         // bytes = memory actually freed; arg = regions demoted.
@@ -587,6 +574,29 @@ Os::promotionBudgetRegions() const
     if (used >= *params_.promotion_cap_bytes)
         return 0;
     return (*params_.promotion_cap_bytes - used) / mem::kBytes2M;
+}
+
+u64
+OsStats::get(std::string_view name) const
+{
+    using Field = std::pair<std::string_view, u64 OsStats::*>;
+    static constexpr Field kFields[] = {
+        {"huge_faults", &OsStats::huge_faults},
+        {"base_alloc_pressure", &OsStats::base_alloc_pressure},
+        {"promote_retries", &OsStats::promote_retries},
+        {"promote_retry_successes", &OsStats::promote_retry_successes},
+        {"migrated_pages", &OsStats::migrated_pages},
+        {"promotions", &OsStats::promotions},
+        {"promotions_1g", &OsStats::promotions_1g},
+        {"demotions", &OsStats::demotions},
+        {"reclaim_events", &OsStats::reclaim_events},
+        {"reclaim_demotions", &OsStats::reclaim_demotions},
+        {"reclaimed_frames", &OsStats::reclaimed_frames},
+    };
+    for (const auto &[field, member] : kFields)
+        if (field == name)
+            return this->*member;
+    panic("unknown OsStats counter '", name, "'");
 }
 
 } // namespace pccsim::os

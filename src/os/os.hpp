@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "mem/phys_mem.hpp"
@@ -18,7 +19,6 @@
 #include "os/process.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/trace.hpp"
-#include "util/stats.hpp"
 
 namespace pccsim::os {
 
@@ -51,6 +51,29 @@ struct PromoteAttempt
 {
     u32 rank = 0;    //!< 0-based rank among this interval's candidates
     u64 counter = 0; //!< PCC frequency / coverage estimate
+};
+
+/**
+ * Event counters of the OS model, in the manner of Linux's fixed
+ * vm_event_item list (thp_fault_alloc, compact_stall, ...): one field
+ * per event, incremented in place.
+ */
+struct OsStats
+{
+    u64 huge_faults = 0;         //!< fault-time 2MB allocations
+    u64 base_alloc_pressure = 0; //!< base-page faults that found no frame
+    u64 promote_retries = 0;     //!< extra acquire attempts (2MB and 1GB)
+    u64 promote_retry_successes = 0;
+    u64 migrated_pages = 0;      //!< base pages moved by compaction
+    u64 promotions = 0;          //!< 2MB promotions
+    u64 promotions_1g = 0;
+    u64 demotions = 0;           //!< 2MB demotions
+    u64 reclaim_events = 0;      //!< pressure-reclaim passes
+    u64 reclaim_demotions = 0;   //!< regions those passes demoted
+    u64 reclaimed_frames = 0;    //!< never-touched frames they freed
+
+    /** The counter whose field has this name; aborts on any other. */
+    u64 get(std::string_view name) const;
 };
 
 class Os
@@ -196,7 +219,7 @@ class Os
 
     mem::PhysicalMemory &phys() { return phys_; }
     const Params &params() const { return params_; }
-    StatGroup &stats() { return stats_; }
+    const OsStats &stats() const { return stats_; }
 
     /** Background (kernel-thread) cycles spent so far, by source. */
     u64 backgroundCycles() const { return background_cycles_; }
@@ -230,7 +253,7 @@ class Os
     ReclaimRanker ranker_;
     telemetry::EventTracer *tracer_ = nullptr;
     telemetry::PromotionAuditLog *audit_ = nullptr;
-    StatGroup stats_{"os"};
+    OsStats stats_;
     u64 background_cycles_ = 0;
 };
 

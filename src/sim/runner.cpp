@@ -21,6 +21,20 @@ nowNanos()
             .count());
 }
 
+// The result slot of one batch entry: runMany hands out bare results,
+// runManyGuarded wraps each in a JobOutcome (null result = quarantined).
+std::shared_ptr<const RunResult> &
+resultSlot(std::shared_ptr<const RunResult> &out)
+{
+    return out;
+}
+
+std::shared_ptr<const RunResult> &
+resultSlot(JobOutcome &out)
+{
+    return out.result;
+}
+
 } // namespace
 
 std::string
@@ -238,11 +252,13 @@ Runner::run(const ExperimentSpec &spec)
     return runMany({spec}).front();
 }
 
-std::vector<std::shared_ptr<const RunResult>>
-Runner::runMany(const std::vector<ExperimentSpec> &specs)
+template <class Out, class SimulateAll>
+std::vector<Out>
+Runner::runBatch(const std::vector<ExperimentSpec> &specs,
+                 SimulateAll simulate_all)
 {
     const u64 wall_t0 = nowNanos();
-    std::vector<std::shared_ptr<const RunResult>> out(specs.size());
+    std::vector<Out> out(specs.size());
     std::vector<std::string> keys(specs.size());
     // Indices that need a simulation; for duplicate keys inside the
     // batch only the first occurrence simulates (the batch owner).
@@ -260,7 +276,7 @@ Runner::runMany(const std::vector<ExperimentSpec> &specs)
                 continue;
             }
             if (auto it = memo_.find(keys[i]); it != memo_.end()) {
-                out[i] = it->second;
+                resultSlot(out[i]) = it->second;
                 ++stats_.memo_hits;
                 continue;
             }
@@ -276,24 +292,20 @@ Runner::runMany(const std::vector<ExperimentSpec> &specs)
     }
 
     if (!to_run.empty()) {
-        std::vector<std::shared_ptr<const RunResult>> results;
-        if (pool_) {
-            results = pool_->parallelMap(to_run, [&](const size_t &i) {
-                return simulate(specs[i], keys[i], nullptr);
-            });
-        } else {
-            results.reserve(to_run.size());
-            for (size_t i : to_run)
-                results.push_back(simulate(specs[i], keys[i], nullptr));
-        }
+        std::vector<Out> results = simulate_all(to_run, keys);
         std::lock_guard<std::mutex> lock(mutex_);
         for (size_t n = 0; n < to_run.size(); ++n) {
             const size_t i = to_run[n];
-            out[i] = results[n];
-            if (!keys[i].empty())
-                memo_.emplace(keys[i], results[n]);
+            out[i] = std::move(results[n]);
+            const auto &result = resultSlot(out[i]);
+            if (!result)
+                ++stats_.quarantined;
+            else if (!keys[i].empty())
+                memo_.emplace(keys[i], result);
         }
     }
+
+    // Followers inherit their owner's outcome, quarantine included.
     for (const auto &[follower, owner] : followers)
         out[follower] = out[owner];
     {
@@ -303,41 +315,42 @@ Runner::runMany(const std::vector<ExperimentSpec> &specs)
     return out;
 }
 
+std::vector<std::shared_ptr<const RunResult>>
+Runner::runMany(const std::vector<ExperimentSpec> &specs)
+{
+    using Result = std::shared_ptr<const RunResult>;
+    return runBatch<Result>(
+        specs, [&](const std::vector<size_t> &to_run,
+                   const std::vector<std::string> &keys) {
+            std::vector<Result> results;
+            if (pool_) {
+                results = pool_->parallelMap(to_run, [&](const size_t &i) {
+                    return simulate(specs[i], keys[i], nullptr);
+                });
+            } else {
+                results.reserve(to_run.size());
+                for (size_t i : to_run)
+                    results.push_back(simulate(specs[i], keys[i], nullptr));
+            }
+            return results;
+        });
+}
+
 std::vector<JobOutcome>
 Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
 {
-    const u64 wall_t0 = nowNanos();
-    std::vector<JobOutcome> out(specs.size());
-    std::vector<std::string> keys(specs.size());
-    std::vector<size_t> to_run;
-    std::map<std::string, size_t> batch_owner;
-    std::vector<std::pair<size_t, size_t>> followers;
+    return runBatch<JobOutcome>(
+        specs, [&](const std::vector<size_t> &to_run,
+                   const std::vector<std::string> &keys) {
+            return superviseAll(specs, to_run, keys);
+        });
+}
 
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.requested += specs.size();
-        for (size_t i = 0; i < specs.size(); ++i) {
-            keys[i] = specKey(specs[i]);
-            if (keys[i].empty()) {
-                to_run.push_back(i);
-                continue;
-            }
-            if (auto it = memo_.find(keys[i]); it != memo_.end()) {
-                out[i].result = it->second;
-                ++stats_.memo_hits;
-                continue;
-            }
-            if (auto it = batch_owner.find(keys[i]);
-                it != batch_owner.end()) {
-                followers.emplace_back(i, it->second);
-                ++stats_.memo_hits;
-                continue;
-            }
-            batch_owner.emplace(keys[i], i);
-            to_run.push_back(i);
-        }
-    }
-
+std::vector<JobOutcome>
+Runner::superviseAll(const std::vector<ExperimentSpec> &specs,
+                     const std::vector<size_t> &to_run,
+                     const std::vector<std::string> &keys)
+{
     const bool watched =
         options_.deadline_ms > 0 || options_.stall_ms > 0;
     std::vector<std::unique_ptr<Supervision>> supervisions;
@@ -349,7 +362,7 @@ Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
 
     std::atomic<bool> watchdog_stop{false};
     std::thread watchdog;
-    if (watched && !to_run.empty()) {
+    if (watched) {
         const u64 poll_ms = std::max<u64>(1, options_.watchdog_poll_ms);
         watchdog = std::thread([this, &supervisions, &watchdog_stop,
                                 poll_ms] {
@@ -391,49 +404,28 @@ Runner::runManyGuarded(const std::vector<ExperimentSpec> &specs)
         });
     }
 
-    if (!to_run.empty()) {
-        std::vector<size_t> order(to_run.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        const auto task = [&](size_t n) {
-            return runGuarded(specs[to_run[n]], keys[to_run[n]],
-                              watched ? supervisions[n].get() : nullptr);
-        };
-        std::vector<JobOutcome> results;
-        if (pool_) {
-            // runGuarded never throws, so the map cannot fail.
-            results = pool_->parallelMap(
-                order, [&](const size_t &n) { return task(n); });
-        } else {
-            results.reserve(order.size());
-            for (size_t n : order)
-                results.push_back(task(n));
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t n = 0; n < to_run.size(); ++n) {
-            const size_t i = to_run[n];
-            out[i] = std::move(results[n]);
-            if (out[i].ok()) {
-                if (!keys[i].empty())
-                    memo_.emplace(keys[i], out[i].result);
-            } else {
-                ++stats_.quarantined;
-            }
-        }
+    std::vector<size_t> order(to_run.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    const auto task = [&](size_t n) {
+        return runGuarded(specs[to_run[n]], keys[to_run[n]],
+                          watched ? supervisions[n].get() : nullptr);
+    };
+    std::vector<JobOutcome> results;
+    if (pool_) {
+        // runGuarded never throws, so the map cannot fail.
+        results = pool_->parallelMap(
+            order, [&](const size_t &n) { return task(n); });
+    } else {
+        results.reserve(order.size());
+        for (size_t n : order)
+            results.push_back(task(n));
     }
 
     if (watchdog.joinable()) {
         watchdog_stop.store(true);
         watchdog.join();
     }
-
-    // Followers inherit their owner's outcome, quarantine included.
-    for (const auto &[follower, owner] : followers)
-        out[follower] = out[owner];
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.wall_nanos += nowNanos() - wall_t0;
-    }
-    return out;
+    return results;
 }
 
 namespace {

@@ -230,6 +230,23 @@ class Runner
                           const std::string &key,
                           Supervision *supervision);
 
+    /**
+     * The batch step runMany() and runManyGuarded() share: key each
+     * spec, recall memoized results, collapse in-batch duplicates onto
+     * their first occurrence, pass the remaining indices to
+     * simulate_all(to_run, keys), memoize what it returns (a null
+     * result counts as quarantined) and copy owners to followers.
+     */
+    template <class Out, class SimulateAll>
+    std::vector<Out> runBatch(const std::vector<ExperimentSpec> &specs,
+                              SimulateAll simulate_all);
+
+    /** runGuarded() over specs[to_run[n]] under the watchdog. */
+    std::vector<JobOutcome>
+    superviseAll(const std::vector<ExperimentSpec> &specs,
+                 const std::vector<size_t> &to_run,
+                 const std::vector<std::string> &keys);
+
     u32 jobs_;
     RunnerOptions options_;
     std::unique_ptr<util::ThreadPool> pool_; //!< created when jobs_ > 1

@@ -560,18 +560,14 @@ System::setupTelemetry(size_t num_jobs)
             sum += core.pcc.occupancy();
         return sum;
     });
-    reg.probe("promotions",
-              [this] { return os_->stats().get("promotions"); });
-    reg.probe("promotions_1g",
-              [this] { return os_->stats().get("promotions_1g"); });
-    reg.probe("demotions",
-              [this] { return os_->stats().get("demotions"); });
+    reg.probe("promotions", [this] { return os_->stats().promotions; });
+    reg.probe("promotions_1g", [this] { return os_->stats().promotions_1g; });
+    reg.probe("demotions", [this] { return os_->stats().demotions; });
     reg.probe("reclaim_events",
-              [this] { return os_->stats().get("reclaim_events"); });
+              [this] { return os_->stats().reclaim_events; });
     reg.probe("reclaimed_frames",
-              [this] { return os_->stats().get("reclaimed_frames"); });
-    reg.probe("compactions",
-              [this] { return phys_->stats().get("compactions"); });
+              [this] { return os_->stats().reclaimed_frames; });
+    reg.probe("compactions", [this] { return phys_->stats().compactions; });
     reg.probe("shootdowns", [this] { return shootdowns_; });
     reg.probe("os_background_cycles",
               [this] { return os_->backgroundCycles(); });
@@ -1589,7 +1585,7 @@ System::run(std::vector<Job> jobs)
     RunResult result;
     result.total_accesses = total_accesses_;
     result.os_background_cycles = os_->backgroundCycles();
-    result.compactions = phys_->stats().get("compactions");
+    result.compactions = phys_->stats().compactions;
     result.shootdowns = shootdowns_;
     result.intervals = intervals_;
 
@@ -1602,12 +1598,11 @@ System::run(std::vector<Job> jobs)
         res.frag_shocks = injector_->shocksApplied();
         res.shock_blocks_pinned = shock_pins_;
     }
-    res.promote_retries = os_->stats().get("promote_retries");
-    res.promote_retry_successes =
-        os_->stats().get("promote_retry_successes");
-    res.reclaim_events = os_->stats().get("reclaim_events");
-    res.reclaim_demotions = os_->stats().get("reclaim_demotions");
-    res.reclaimed_frames = os_->stats().get("reclaimed_frames");
+    res.promote_retries = os_->stats().promote_retries;
+    res.promote_retry_successes = os_->stats().promote_retry_successes;
+    res.reclaim_events = os_->stats().reclaim_events;
+    res.reclaim_demotions = os_->stats().reclaim_demotions;
+    res.reclaimed_frames = os_->stats().reclaimed_frames;
     res.invariant_checks = invariant_checks_;
     res.invariant_failures = invariant_failures_;
     res.first_invariant_failure = first_invariant_failure_;

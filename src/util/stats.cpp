@@ -4,36 +4,6 @@
 
 namespace pccsim {
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-u64
-StatGroup::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-std::vector<std::pair<std::string, u64>>
-StatGroup::all() const
-{
-    std::vector<std::pair<std::string, u64>> out;
-    out.reserve(counters_.size());
-    for (const auto &[name, ctr] : counters_)
-        out.emplace_back(name, ctr.value());
-    return out;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &[name, ctr] : counters_)
-        ctr.reset();
-}
-
 double
 geomean(const std::vector<double> &values)
 {

@@ -1,75 +1,15 @@
 /**
  * @file
- * Lightweight named-statistics registry.
- *
- * Modules register scalar counters with a StatGroup; the simulator
- * aggregates, prints, and diffs them at experiment boundaries. This is a
- * deliberately small subset of the gem5 stats package: scalars, derived
- * ratios, and distributions are all pccsim needs.
+ * Ratio helpers shared by the result reports and bench harnesses.
  */
 
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace pccsim {
-
-/** A single named 64-bit counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void operator+=(u64 delta) { value_ += delta; }
-
-    u64 value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    u64 value_ = 0;
-};
-
-/**
- * A flat group of named counters.
- *
- * Counters are owned by the group and referenced by stable pointers, so
- * hot paths pay only an increment. The group can snapshot itself for
- * interval-based reporting.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name = "") : name_(std::move(name)) {}
-
-    StatGroup(const StatGroup &) = delete;
-    StatGroup &operator=(const StatGroup &) = delete;
-
-    /** Register (or fetch) a counter by name. Pointers remain valid. */
-    Counter &counter(const std::string &name);
-
-    /** Read a counter's value; 0 if it was never registered. */
-    u64 get(const std::string &name) const;
-
-    /** All counters as (name, value) pairs, sorted by name. */
-    std::vector<std::pair<std::string, u64>> all() const;
-
-    /** Zero every counter. */
-    void resetAll();
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    // std::map keeps pointer stability across inserts.
-    std::map<std::string, Counter> counters_;
-};
 
 /** Safe ratio helper: returns 0 when the denominator is 0. */
 inline double

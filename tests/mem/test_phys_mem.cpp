@@ -129,7 +129,7 @@ TEST(PhysMem, HugeAllocationFailsWhenFragmented)
     Rng rng(5);
     pm.fragment(1.0, rng);
     EXPECT_FALSE(pm.allocHuge(0, 0).has_value());
-    EXPECT_GT(pm.stats().get("alloc_huge_fail"), 0u);
+    EXPECT_GT(pm.stats().alloc_huge_fail, 0u);
 }
 
 TEST(PhysMem, FragmentZeroIsNoop)
@@ -149,8 +149,8 @@ TEST(PhysMem, AccountingCounters)
     auto b = pm.allocHuge(0, 512);
     ASSERT_TRUE(a && b);
     EXPECT_EQ(pm.freeFrames(), 64u * 512 - 1 - 512);
-    EXPECT_EQ(pm.stats().get("alloc_base"), 1u);
-    EXPECT_EQ(pm.stats().get("alloc_huge"), 1u);
+    EXPECT_EQ(pm.stats().alloc_base, 1u);
+    EXPECT_EQ(pm.stats().alloc_huge, 1u);
 }
 
 // ------------------------------------------- gigabyte-group compaction

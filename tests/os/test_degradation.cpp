@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mem/phys_mem.hpp"
 #include "os/os.hpp"
 #include "util/rng.hpp"
@@ -42,8 +44,8 @@ TEST(OsRetry, TransientHugeFailureRecoversViaBackoff)
     // Exponential backoff was charged: b + 2b for the two retries.
     EXPECT_GE(os_model.backgroundCycles() - background_before,
               3 * os_model.params().retry_backoff);
-    EXPECT_EQ(os_model.stats().get("promote_retries"), 2u);
-    EXPECT_EQ(os_model.stats().get("promote_retry_successes"), 1u);
+    EXPECT_EQ(os_model.stats().promote_retries, 2u);
+    EXPECT_EQ(os_model.stats().promote_retry_successes, 1u);
 }
 
 TEST(OsRetry, GenuineExhaustionDoesNotRetry)
@@ -61,7 +63,7 @@ TEST(OsRetry, GenuineExhaustionDoesNotRetry)
     const auto result = os_model.promoteRegion(proc, heap, true);
     EXPECT_EQ(result.status, PromoteStatus::NoHugeFrame);
     EXPECT_EQ(result.retries, 0u);
-    EXPECT_EQ(os_model.stats().get("promote_retries"), 0u);
+    EXPECT_EQ(os_model.stats().promote_retries, 0u);
 }
 
 TEST(OsRetry, InjectedCompactionFailureReportsNoHugeFrame)
@@ -81,7 +83,7 @@ TEST(OsRetry, InjectedCompactionFailureReportsNoHugeFrame)
     EXPECT_FALSE(result.compacted);
     EXPECT_GE(result.compaction_runs, 1u);
     EXPECT_EQ(result.retries, 2u); // gate installed => retries taken
-    EXPECT_GT(phys.stats().get("injected_compaction_fail"), 0u);
+    EXPECT_GT(phys.stats().injected_compaction_fail, 0u);
 }
 
 TEST(PhysMem, PartialCompactionAbortRollsBackCleanly)
@@ -96,7 +98,7 @@ TEST(PhysMem, PartialCompactionAbortRollsBackCleanly)
 
     phys.setCompactionGate([] { return 1u; }); // abort after one move
     EXPECT_FALSE(phys.compactOneBlock().has_value());
-    EXPECT_EQ(phys.stats().get("injected_compaction_abort"), 1u);
+    EXPECT_EQ(phys.stats().injected_compaction_abort, 1u);
 
     // The rollback restored every frame exactly.
     EXPECT_EQ(phys.freeFrames(), free_before);
@@ -164,10 +166,9 @@ TEST(OsReclaim, PressureDemotesColdHugePageAndFreesBloat)
 
     EXPECT_TRUE(proc.faulted(pressured)); // the fault was served
     EXPECT_EQ(proc.regionStateOf(heap), RegionState::Base4K);
-    EXPECT_EQ(os_model.stats().get("reclaim_events"), 1u);
-    EXPECT_EQ(os_model.stats().get("reclaim_demotions"), 1u);
-    EXPECT_EQ(os_model.stats().get("reclaimed_frames"),
-              mem::kPagesPer2M - 1);
+    EXPECT_EQ(os_model.stats().reclaim_events, 1u);
+    EXPECT_EQ(os_model.stats().reclaim_demotions, 1u);
+    EXPECT_EQ(os_model.stats().reclaimed_frames, mem::kPagesPer2M - 1);
     EXPECT_EQ(proc.bloatPages(), 0u);
     // The touched page survived reclaim with its data mapping intact.
     EXPECT_TRUE(proc.faulted(heap));
@@ -233,7 +234,7 @@ TEST(Os1G, InjectedTransient1GFailureRetries)
     const auto result = os_model.promoteRegion1G(proc, heap);
     EXPECT_EQ(result.status, PromoteStatus::Ok);
     EXPECT_EQ(result.retries, 1u);
-    EXPECT_EQ(os_model.stats().get("promote_retry_successes"), 1u);
+    EXPECT_EQ(os_model.stats().promote_retry_successes, 1u);
 }
 
 TEST(Os1GDeathTest, DemoteRegion1GOnNon1GMappingPanics)
@@ -247,4 +248,85 @@ TEST(Os1GDeathTest, DemoteRegion1GOnNon1GMappingPanics)
               PromoteStatus::Ok); // 2MB, not 1GB
     EXPECT_DEATH(os_model.demoteRegion1G(proc, heap),
                  "demoteRegion1G on non-1GB mapping");
+}
+
+TEST(OsCounters, GetByNameMatchesEveryField)
+{
+    // A fragmented node where huge frames need compaction, plus a
+    // fault-time huge page, a demotion, an injected compaction failure
+    // that a retry gets past, and a pressure reclaim, so most counters
+    // end nonzero.
+    mem::PhysicalMemory phys(32 * mem::kBytes2M);
+    Os os_model(Os::Params{}, phys);
+    Process &proc = os_model.createProcess(32 * mem::kBytes2M);
+    const Addr heap = proc.mmap(8 * mem::kBytes2M, "heap");
+    os_model.handleFault(proc, heap, /*want_huge=*/true);
+    Rng rng(7);
+    phys.fragment(0.25, rng);
+    phys.scramble(rng);
+    for (u32 r = 1; r < 4; ++r)
+        faultRegion(os_model, proc, heap + r * mem::kBytes2M);
+    for (u32 r = 1; r < 4; ++r)
+        os_model.promoteRegion(proc, heap + r * mem::kBytes2M, true);
+    os_model.demoteRegion(proc, heap + mem::kBytes2M);
+
+    bool fail_next = true;
+    phys.setCompactionGate([&fail_next] {
+        const bool fail = std::exchange(fail_next, false);
+        return fail ? 0u : mem::PhysicalMemory::kUnlimitedMoves;
+    });
+    os_model.promoteRegion(proc, heap + mem::kBytes2M, true);
+    phys.setAllocGate([](unsigned order) { return order != 0; });
+    os_model.handleFault(proc, heap + 5 * mem::kBytes2M, false);
+
+    const OsStats &os_stats = os_model.stats();
+    const std::pair<const char *, u64> os_fields[] = {
+        {"huge_faults", os_stats.huge_faults},
+        {"base_alloc_pressure", os_stats.base_alloc_pressure},
+        {"promote_retries", os_stats.promote_retries},
+        {"promote_retry_successes", os_stats.promote_retry_successes},
+        {"migrated_pages", os_stats.migrated_pages},
+        {"promotions", os_stats.promotions},
+        {"promotions_1g", os_stats.promotions_1g},
+        {"demotions", os_stats.demotions},
+        {"reclaim_events", os_stats.reclaim_events},
+        {"reclaim_demotions", os_stats.reclaim_demotions},
+        {"reclaimed_frames", os_stats.reclaimed_frames},
+    };
+    static_assert(sizeof(OsStats) == sizeof(os_fields) /
+                                         sizeof(os_fields[0]) *
+                                         sizeof(u64),
+                  "every OsStats field must be listed");
+    for (const auto &[name, value] : os_fields)
+        EXPECT_EQ(os_stats.get(name), value) << name;
+
+    const mem::PhysStats &phys_stats = phys.stats();
+    const std::pair<const char *, u64> phys_fields[] = {
+        {"alloc_base", phys_stats.alloc_base},
+        {"alloc_huge", phys_stats.alloc_huge},
+        {"alloc_huge_fail", phys_stats.alloc_huge_fail},
+        {"injected_compaction_fail", phys_stats.injected_compaction_fail},
+        {"injected_compaction_abort", phys_stats.injected_compaction_abort},
+        {"compactions", phys_stats.compactions},
+    };
+    static_assert(sizeof(mem::PhysStats) == sizeof(phys_fields) /
+                                                sizeof(phys_fields[0]) *
+                                                sizeof(u64),
+                  "every PhysStats field must be listed");
+    for (const auto &[name, value] : phys_fields)
+        EXPECT_EQ(phys_stats.get(name), value) << name;
+
+    // The scenario exercised what perfbench reads by name.
+    EXPECT_GT(phys_stats.compactions, 0u);
+    EXPECT_GT(os_stats.migrated_pages, 0u);
+}
+
+TEST(OsCountersDeathTest, UnknownNameAborts)
+{
+    const OsStats os_stats;
+    const mem::PhysStats phys_stats;
+    EXPECT_DEATH(os_stats.get("base_faults"),
+                 "unknown OsStats counter 'base_faults'");
+    EXPECT_DEATH(phys_stats.get("compaction"),
+                 "unknown PhysStats counter 'compaction'");
 }

@@ -51,7 +51,7 @@ TEST_F(HintFixture, NoHugeBlocksFaultTimeAllocationMechanismSide)
     proc.madvise(heap, mem::kBytes2M, HugeHint::NoHuge);
     os_model.handleFault(proc, heap + 123, /*want_huge=*/true);
     EXPECT_EQ(proc.regionStateOf(heap), RegionState::Base4K);
-    EXPECT_EQ(os_model.stats().get("huge_faults"), 0u);
+    EXPECT_EQ(os_model.stats().huge_faults, 0u);
     // A neighbouring unhinted region is unaffected.
     os_model.handleFault(proc, heap + mem::kBytes2M, /*want_huge=*/true);
     EXPECT_EQ(proc.regionStateOf(heap + mem::kBytes2M),
@@ -106,7 +106,7 @@ TEST_F(HintFixture, PressureReclaimNeverPromotesNoHugeRegions)
         os_model.handleFault(filler, fheap + p * mem::kBytes4K,
                              /*want_huge=*/false);
     }
-    EXPECT_GT(os_model.stats().get("base_alloc_pressure"), 0u)
+    EXPECT_GT(os_model.stats().base_alloc_pressure, 0u)
         << "test should actually reach the pressure/reclaim path";
     EXPECT_EQ(proc.regionStateOf(heap), RegionState::Base4K)
         << "reclaim/pressure must not huge-back an opted-out region";

@@ -61,7 +61,7 @@ TEST_F(Fixture, HugeFaultFallsBackWhenRegionPartiallyTouched)
     os_model.handleFault(proc, heap, false);
     os_model.handleFault(proc, heap + 4096, true);
     EXPECT_EQ(proc.regionStateOf(heap), RegionState::Base4K);
-    EXPECT_EQ(os_model.stats().get("huge_faults"), 0u);
+    EXPECT_EQ(os_model.stats().huge_faults, 0u);
 }
 
 TEST_F(Fixture, PromotionCollapsesFaultedRegion)
@@ -86,7 +86,7 @@ TEST_F(Fixture, PromotionOfUntouchedRegionRejected)
 TEST_F(Fixture, PromotionOutsideHeapRejected)
 {
     const auto result =
-        os_model.promoteRegion(proc, heap + 1ull << 40, false);
+        os_model.promoteRegion(proc, heap + (1ull << 40), false);
     EXPECT_EQ(result.status, PromoteStatus::NotEligible);
 }
 

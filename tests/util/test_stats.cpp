@@ -5,54 +5,6 @@
 
 using namespace pccsim;
 
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 4;
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(StatGroup, CounterPointersAreStable)
-{
-    StatGroup group("g");
-    Counter &a = group.counter("a");
-    ++a;
-    // Force more insertions, then check the original reference.
-    for (int i = 0; i < 100; ++i)
-        group.counter("x" + std::to_string(i));
-    ++a;
-    EXPECT_EQ(group.get("a"), 2u);
-}
-
-TEST(StatGroup, GetUnknownIsZero)
-{
-    StatGroup group;
-    EXPECT_EQ(group.get("missing"), 0u);
-}
-
-TEST(StatGroup, AllSortedByName)
-{
-    StatGroup group;
-    group.counter("b") += 2;
-    group.counter("a") += 1;
-    const auto all = group.all();
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0].first, "a");
-    EXPECT_EQ(all[1].first, "b");
-}
-
-TEST(StatGroup, ResetAllZeroes)
-{
-    StatGroup group;
-    group.counter("a") += 7;
-    group.resetAll();
-    EXPECT_EQ(group.get("a"), 0u);
-}
-
 TEST(Ratio, HandlesZeroDenominator)
 {
     EXPECT_DOUBLE_EQ(ratio(5, 0), 0.0);

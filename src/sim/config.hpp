@@ -217,21 +217,14 @@ struct SystemConfig
     /** Test-only planted hot-path bug (see HotPathMutation). */
     HotPathMutation mutation = HotPathMutation::None;
 
-    /**
-     * Scheduling engine selection. The batch engine consumes address
-     * batches emitted by Workload::batchLane() in a tight loop; the
-     * scalar engine pulls one AccessOp per coroutine resume through
-     * the Workload::lane() adapter. Both produce bit-identical
-     * RunResults (the engine-equivalence tests prove it); the scalar
-     * engine is kept as the differential reference, not a fast path.
-     */
-    bool batch_engine = true;
+    /** Not a knob: perfbench still reads it; ROADMAP item 2 deletes it. */
+    static constexpr bool batch_engine = true;
 
     /**
      * Ops per batch-buffer refill for single-lane jobs. Multi-lane
      * runs clamp the buffer to the scheduling quantum so production
      * bursts stay aligned with lane turns (host-side shared workload
-     * state must interleave exactly as the scalar engine would).
+     * state interleaves identically for every capacity).
      */
     u32 batch_capacity = 4096;
 

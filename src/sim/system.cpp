@@ -121,10 +121,25 @@ isPow2(u64 x)
  * Lane scheduling quantum: ops one lane consumes before the scheduler
  * rotates to the next runnable lane. Multi-lane batch buffers are
  * clamped to this size so a lane's production burst covers exactly one
- * turn — the op interleaving (and thus every shared-state read a
- * workload makes) is identical to the scalar per-op engine.
+ * turn; the resulting op interleaving (and thus every shared-state
+ * read a workload makes) is what the recorded baselines pin, so
+ * changing it changes every multi-lane result.
  */
 constexpr u32 kSchedQuantum = 64;
+
+// Per-core counters summed by System::sumCores.
+constexpr auto kCoreWalks = [](const auto &core) -> u64 {
+    return core.tlb.walks();
+};
+constexpr auto kCoreWalkCycles = [](const auto &core) -> u64 {
+    return core.walk_cycles;
+};
+constexpr auto kCoreTlbAccesses = [](const auto &core) -> u64 {
+    return core.tlb.accesses();
+};
+constexpr auto kCoreCycles = [](const auto &core) -> u64 {
+    return core.cycles;
+};
 
 } // namespace
 
@@ -244,10 +259,6 @@ SystemConfig::validate() const
             status.update(Status::error(
                 "sampling.fastforward must be >= 1 when sampling"));
         }
-        if (!batch_engine) {
-            status.update(Status::error(
-                "sampling requires the batch engine"));
-        }
         if (oracle.enabled) {
             status.update(Status::error(
                 "sampling is incompatible with the oracle (the "
@@ -293,10 +304,6 @@ SystemConfig::validate() const
             "telemetry.exemplar_k must be >= 1 when histograms are on"));
     }
     if (tenant.enabled()) {
-        if (!batch_engine) {
-            status.update(Status::error(
-                "tenant mode requires the batch engine"));
-        }
         if (sampling.enabled()) {
             status.update(Status::error(
                 "tenant mode is incompatible with sampling"));
@@ -524,41 +531,20 @@ System::setupTelemetry(size_t num_jobs)
     // Probes over state the simulator maintains anyway: registering
     // them costs the instrumented modules nothing, and reading happens
     // only at interval boundaries and run end.
-    reg.probe("tlb_accesses", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.accesses();
-        return sum;
-    });
+    reg.probe("tlb_accesses", [this] { return sumCores(kCoreTlbAccesses); });
     reg.probe("l1_hits", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.l1Hits();
-        return sum;
+        return sumCores([](const CoreState &c) { return c.tlb.l1Hits(); });
     });
     reg.probe("l2_hits", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.l2Hits();
-        return sum;
+        return sumCores([](const CoreState &c) { return c.tlb.l2Hits(); });
     });
-    reg.probe("walks", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.tlb.walks();
-        return sum;
-    });
+    reg.probe("walks", [this] { return sumCores(kCoreWalks); });
     reg.probe("faults", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.faults;
-        return sum;
+        return sumCores([](const CoreState &c) { return c.faults; });
     });
     reg.probe("pcc_occupancy", [this] {
-        u64 sum = 0;
-        for (const auto &core : cores_)
-            sum += core.pcc.occupancy();
-        return sum;
+        return sumCores(
+            [](const CoreState &c) { return c.pcc.occupancy(); });
     });
     reg.probe("promotions", [this] { return os_->stats().promotions; });
     reg.probe("promotions_1g", [this] { return os_->stats().promotions_1g; });
@@ -572,13 +558,8 @@ System::setupTelemetry(size_t num_jobs)
     reg.probe("os_background_cycles",
               [this] { return os_->backgroundCycles(); });
     for (size_t j = 0; j < num_jobs; ++j) {
-        reg.probe("job" + std::to_string(j) + "_cycles", [this, j] {
-            Cycles wall = 0;
-            for (const auto &lane : lanes_)
-                if (lane.job == j)
-                    wall = std::max(wall, cores_[lane.core].cycles);
-            return wall;
-        });
+        reg.probe("job" + std::to_string(j) + "_cycles",
+                  [this, j] { return jobWall(static_cast<u32>(j)); });
     }
     // Per-tenant fairness/starvation telemetry. Only registered for
     // genuinely multi-tenant runs: a 1-tenant tenant-mode run must
@@ -976,67 +957,6 @@ System::onInterval(u32 total_lanes)
         sampleTelemetryInterval();
 }
 
-void
-System::runScalarLoop(std::vector<Cycles> &job_wall,
-                      std::vector<u32> &job_live, u32 total_lanes)
-{
-    u32 live = static_cast<u32>(lanes_.size());
-    while (live > 0) {
-        bool progressed = false;
-        for (auto &lane : lanes_) {
-            if (lane.done || lane.at_barrier)
-                continue;
-            progressed = true;
-            CoreState &core = cores_[lane.core];
-            os::Process &proc = *core_process_[lane.core];
-            for (u32 b = 0; b < kSchedQuantum; ++b) {
-                if (!lane.scalar_gen.next()) {
-                    lane.done = true;
-                    --live;
-                    --job_live[lane.job];
-                    if (job_live[lane.job] == 0) {
-                        Cycles wall = 0;
-                        for (const auto &l2 : lanes_)
-                            if (l2.job == lane.job)
-                                wall = std::max(wall,
-                                                cores_[l2.core].cycles);
-                        job_wall[lane.job] = wall;
-                    }
-                    maybeReleaseBarrier(lane.job);
-                    break;
-                }
-                const auto &op = lane.scalar_gen.value();
-                if (op.kind == workloads::OpKind::Barrier) {
-                    lane.at_barrier = true;
-                    maybeReleaseBarrier(lane.job);
-                    break;
-                }
-                core.cycles += doAccess(
-                    core, proc, op.addr,
-                    op.kind == workloads::OpKind::Store);
-                ++total_accesses_;
-                if (total_accesses_ >= next_interval_at_)
-                    onInterval(total_lanes);
-            }
-            // Cooperative supervision: publish progress and honor a
-            // pending cancel once per lane turn (~kSchedQuantum
-            // accesses) — cheap enough to leave unconditionally.
-            if (config_.progress) {
-                config_.progress->store(total_accesses_,
-                                        std::memory_order_relaxed);
-            }
-            if (config_.cancel &&
-                config_.cancel->load(std::memory_order_relaxed)) {
-                throw CancelledError(
-                    "run cancelled after " +
-                    std::to_string(total_accesses_) + " accesses");
-            }
-        }
-        PCCSIM_ASSERT(progressed || live == 0,
-                      "scheduler deadlock: all live lanes parked");
-    }
-}
-
 // Flatten the whole consuming path (doAccess, the TLB and cache
 // probes, the fault handler's entry) into the loop: the per-op call
 // overhead is measurable at the ns/access scale this loop targets.
@@ -1045,16 +965,10 @@ __attribute__((flatten))
 #endif
 void
 System::runBatchLoop(std::vector<Cycles> &job_wall,
-                     std::vector<u32> &job_live, u32 total_lanes)
+                     std::vector<u32> &job_live, u32 total_lanes,
+                     u32 quantum)
 {
     const bool sampled = config_.sampling.enabled();
-    // A single lane owns the machine: let it drain whole buffers per
-    // turn. With siblings, rotate on the scalar engine's quantum —
-    // or, in tenant mode, on the configured scheduling quantum.
-    const u32 quantum =
-        total_lanes == 1 ? std::max<u32>(1, config_.batch_capacity)
-        : tsched_       ? std::max<u32>(1, config_.tenant.quantum_ops)
-                        : kSchedQuantum;
     u32 live = static_cast<u32>(lanes_.size());
     while (live > 0) {
         bool progressed = false;
@@ -1067,28 +981,24 @@ System::runBatchLoop(std::vector<Cycles> &job_wall,
             CoreState &core = cores_[lane.core];
             os::Process &proc = *core_process_[lane.core];
             workloads::AccessBuffer &buf = *lane.buf;
-            // Tenant mode: snapshot the shared core's counters so this
-            // turn's deltas can be banked against the job that ran.
-            u64 t_acc = 0, t_tlb = 0, t_l1 = 0, t_l2 = 0, t_walks = 0,
-                t_faults = 0, t_refs = 0;
-            if (tsched_) {
-                t_acc = core.accesses;
-                t_tlb = core.tlb.accesses();
-                t_l1 = core.tlb.l1Hits();
-                t_l2 = core.tlb.l2Hits();
-                t_walks = core.tlb.walks();
-                t_faults = core.faults;
-                t_refs = core.walker.totalRefs();
-            }
+            // Snapshot the core's counters so this turn's deltas can be
+            // banked against the job that ran (see JobTally).
+            const u64 t_acc = core.accesses;
+            const u64 t_tlb = core.tlb.accesses();
+            const u64 t_l1 = core.tlb.l1Hits();
+            const u64 t_l2 = core.tlb.l2Hits();
+            const u64 t_walks = core.tlb.walks();
+            const u64 t_faults = core.faults;
+            const u64 t_refs = core.walker.totalRefs();
             u32 b = 0;
             while (b < quantum) {
                 if (lane.consumed == buf.size()) {
                     // Buffer drained: take a deferred batch end, or
-                    // refill. Refills happen lazily *here* — at the
-                    // start of the consuming turn, exactly where the
-                    // scalar engine would resume the generator — so
-                    // barrier/EOF discovery and host-side production
-                    // keep the scalar engine's timing.
+                    // refill. Refills happen lazily *here*, at the
+                    // start of the consuming turn, so barrier/EOF
+                    // discovery and host-side production land at the
+                    // same point of the interleaving for every buffer
+                    // capacity.
                     if (lane.pending_barrier) {
                         lane.pending_barrier = false;
                         lane.at_barrier = true;
@@ -1098,15 +1008,8 @@ System::runBatchLoop(std::vector<Cycles> &job_wall,
                     if (lane.pending_eof) {
                         lane.done = true;
                         --live;
-                        --job_live[lane.job];
-                        if (job_live[lane.job] == 0) {
-                            Cycles wall = 0;
-                            for (const auto &l2 : lanes_)
-                                if (l2.job == lane.job)
-                                    wall = std::max(wall,
-                                                    cores_[l2.core].cycles);
-                            job_wall[lane.job] = wall;
-                        }
+                        if (--job_live[lane.job] == 0)
+                            job_wall[lane.job] = jobWall(lane.job);
                         maybeReleaseBarrier(lane.job);
                         break;
                     }
@@ -1174,17 +1077,16 @@ System::runBatchLoop(std::vector<Cycles> &job_wall,
                     }
                 }
             }
-            if (tsched_) {
-                JobTally &tally = job_tally_[lane.job];
-                tally.accesses += core.accesses - t_acc;
-                tally.tlb_accesses += core.tlb.accesses() - t_tlb;
-                tally.l1_hits += core.tlb.l1Hits() - t_l1;
-                tally.l2_hits += core.tlb.l2Hits() - t_l2;
-                tally.walks += core.tlb.walks() - t_walks;
-                tally.faults += core.faults - t_faults;
-                tally.walker_refs += core.walker.totalRefs() - t_refs;
+            JobTally &tally = job_tally_[lane.job];
+            tally.accesses += core.accesses - t_acc;
+            tally.tlb_accesses += core.tlb.accesses() - t_tlb;
+            tally.l1_hits += core.tlb.l1Hits() - t_l1;
+            tally.l2_hits += core.tlb.l2Hits() - t_l2;
+            tally.walks += core.tlb.walks() - t_walks;
+            tally.faults += core.faults - t_faults;
+            tally.walker_refs += core.walker.totalRefs() - t_refs;
+            if (tsched_)
                 tsched_->noteOps(lane.job, core.accesses - t_acc);
-            }
             if (config_.progress) {
                 config_.progress->store(total_accesses_,
                                         std::memory_order_relaxed);
@@ -1250,21 +1152,22 @@ System::beginMeasurement()
 {
     sample_phase_ = SamplePhase::Measuring;
     phase_left_ = win_measured_;
-    win_start_walks_ = sumWalks();
-    win_start_walk_cycles_ = sumWalkCycles();
-    win_start_tlb_accesses_ = sumTlbAccesses();
-    win_start_cycles_ = sumCycles();
+    win_start_walks_ = sumCores(kCoreWalks);
+    win_start_walk_cycles_ = sumCores(kCoreWalkCycles);
+    win_start_tlb_accesses_ = sumCores(kCoreTlbAccesses);
+    win_start_cycles_ = sumCores(kCoreCycles);
 }
 
 void
 System::closeSampleWindow()
 {
     const u64 w = win_measured_;
-    const u64 walks = sumWalks() - win_start_walks_;
-    const u64 walk_cycles = sumWalkCycles() - win_start_walk_cycles_;
+    const u64 walks = sumCores(kCoreWalks) - win_start_walks_;
+    const u64 walk_cycles =
+        sumCores(kCoreWalkCycles) - win_start_walk_cycles_;
     const u64 tlb_accesses =
-        sumTlbAccesses() - win_start_tlb_accesses_;
-    const u64 cycles = sumCycles() - win_start_cycles_;
+        sumCores(kCoreTlbAccesses) - win_start_tlb_accesses_;
+    const u64 cycles = sumCores(kCoreCycles) - win_start_cycles_;
     win_miss_rates_.push_back(
         tlb_accesses == 0
             ? 0.0
@@ -1318,40 +1221,14 @@ System::sampleStats() const
     return s;
 }
 
-u64
-System::sumWalks() const
+Cycles
+System::jobWall(u32 job) const
 {
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.tlb.walks();
-    return total;
-}
-
-u64
-System::sumWalkCycles() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.walk_cycles;
-    return total;
-}
-
-u64
-System::sumTlbAccesses() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.tlb.accesses();
-    return total;
-}
-
-u64
-System::sumCycles() const
-{
-    u64 total = 0;
-    for (const auto &core : cores_)
-        total += core.cycles;
-    return total;
+    Cycles wall = 0;
+    for (const auto &lane : lanes_)
+        if (lane.job == job)
+            wall = std::max(wall, cores_[lane.core].cycles);
+    return wall;
 }
 
 RunResult
@@ -1456,11 +1333,12 @@ System::run(std::vector<Job> jobs)
 
     // ---- lanes and core assignment ----
     lanes_.clear();
-    // Single-lane runs may batch as deep as configured; with multiple
-    // lanes the buffer is clamped to the scheduling quantum so the
-    // host-side production interleaving matches the scalar engine (in
-    // tenant mode, the configured tenant quantum).
-    const u32 buf_capacity =
+    // The lane quantum, which is also every lane's buffer capacity: a
+    // single lane owns the machine and drains buffers as deep as
+    // configured; with siblings, lanes rotate on kSchedQuantum (in
+    // tenant mode, the configured tenant quantum), so a production
+    // burst covers exactly one turn.
+    const u32 quantum =
         total_lanes == 1 ? std::max<u32>(1, config_.batch_capacity)
         : tenant_mode    ? std::max<u32>(1, config_.tenant.quantum_ops)
                          : kSchedQuantum;
@@ -1468,19 +1346,13 @@ System::run(std::vector<Job> jobs)
     for (u32 j = 0; j < jobs.size(); ++j) {
         for (u32 l = 0; l < jobs[j].lanes; ++l) {
             LaneState lane;
-            if (config_.batch_engine) {
-                // Allocate the buffer before creating the coroutine:
-                // batchLane() captures a reference to it, and the
-                // heap allocation keeps that reference stable across
-                // lanes_ vector relocations.
-                lane.buf = std::make_unique<workloads::AccessBuffer>(
-                    buf_capacity);
-                lane.gen = jobs[j].workload->batchLane(
-                    l, jobs[j].lanes, *lane.buf);
-            } else {
-                lane.scalar_gen =
-                    jobs[j].workload->lane(l, jobs[j].lanes);
-            }
+            // Allocate the buffer before creating the coroutine:
+            // batchLane() captures a reference to it, and the heap
+            // allocation keeps that reference stable across lanes_
+            // vector relocations.
+            lane.buf = std::make_unique<workloads::AccessBuffer>(quantum);
+            lane.gen =
+                jobs[j].workload->batchLane(l, jobs[j].lanes, *lane.buf);
             // Tenant mode: jobs are single-lane, tenants j map onto
             // shared cores round-robin (tenant j -> core j % cores).
             const u32 core =
@@ -1561,10 +1433,7 @@ System::run(std::vector<Job> jobs)
                                         now - phase_t0);
         phase_t0 = now;
     }
-    if (config_.batch_engine)
-        runBatchLoop(job_wall, job_live, total_lanes);
-    else
-        runScalarLoop(job_wall, job_live, total_lanes);
+    runBatchLoop(job_wall, job_live, total_lanes, quantum);
 
     // ---- collect results ----
     util::HostProfile::global().add(
@@ -1615,37 +1484,18 @@ System::run(std::vector<Job> jobs)
         job_result.workload = jobs[j].workload->name();
         job_result.pid = procs[j]->pid();
         job_result.wall_cycles = job_wall[j];
-        u64 refs = 0;
-        if (tsched_) {
-            // Shared cores: the per-turn tallies are the only per-job
-            // attribution of the hardware counters.
-            const JobTally &tally = job_tally_[j];
-            job_result.accesses = tally.accesses;
-            job_result.tlb_accesses = tally.tlb_accesses;
-            job_result.l1_hits = tally.l1_hits;
-            job_result.l2_hits = tally.l2_hits;
-            job_result.walks = tally.walks;
-            job_result.faults = tally.faults;
-            refs = tally.walker_refs;
-        } else {
-            for (const auto &lane : lanes_) {
-                if (lane.job != j)
-                    continue;
-                const CoreState &core = cores_[lane.core];
-                job_result.accesses += core.accesses;
-                job_result.tlb_accesses += core.tlb.accesses();
-                job_result.l1_hits += core.tlb.l1Hits();
-                job_result.l2_hits += core.tlb.l2Hits();
-                job_result.walks += core.tlb.walks();
-                job_result.faults += core.faults;
-                refs += core.walker.totalRefs();
-            }
-        }
+        const JobTally &tally = job_tally_[j];
+        job_result.accesses = tally.accesses;
+        job_result.tlb_accesses = tally.tlb_accesses;
+        job_result.l1_hits = tally.l1_hits;
+        job_result.l2_hits = tally.l2_hits;
+        job_result.walks = tally.walks;
+        job_result.faults = tally.faults;
         job_result.refs_per_walk =
-            job_result.walks == 0
+            tally.walks == 0
                 ? 0.0
-                : static_cast<double>(refs) /
-                      static_cast<double>(job_result.walks);
+                : static_cast<double>(tally.walker_refs) /
+                      static_cast<double>(tally.walks);
         job_result.promotions = procs[j]->promotions();
         job_result.promotions_1g = procs[j]->promotions1G();
         job_result.demotions = procs[j]->demotions();

@@ -119,7 +119,6 @@ class System : public os::PolicyContext
 
     struct LaneState
     {
-        // ---- batch engine ----
         /**
          * The lane's op buffer. Heap-allocated because the batchLane
          * coroutine captures a reference at creation: LaneState lives
@@ -133,9 +132,6 @@ class System : public os::PolicyContext
         /** Generator exhausted; buf holds its residual ops. */
         bool pending_eof = false;
 
-        // ---- scalar engine (batch_engine = false) ----
-        Generator<workloads::AccessOp> scalar_gen;
-
         CoreId core = 0;
         u32 job = 0;
         bool at_barrier = false;
@@ -143,13 +139,13 @@ class System : public os::PolicyContext
     };
 
     /**
-     * Per-job hardware counters in tenant mode. Cores are shared, so
-     * the cumulative per-core counters mix tenants; instead each lane
-     * turn snapshots its core's counters before and after and banks
-     * the delta against the job that ran. In a 1-tenant run the core
-     * is never shared and the tallies equal the per-core totals, which
-     * is what keeps tenant-mode results bit-identical to the legacy
-     * single-process path.
+     * Per-job hardware counters: each lane turn snapshots its core's
+     * counters before and after and banks the delta against the job
+     * that ran. These counters move only inside a turn (doAccess or
+     * doFastForward on the lane's own core), so the tallies are exact
+     * in every mode: a job whose lanes own their cores gets the sum of
+     * those cores' totals, and a tenant time-sharing a core gets only
+     * its own turns.
      */
     struct JobTally
     {
@@ -189,13 +185,13 @@ class System : public os::PolicyContext
      */
     void doFastForward(CoreState &core, os::Process &proc, Addr vaddr);
 
-    /** The per-op scheduling loop over Workload::lane() adapters. */
-    void runScalarLoop(std::vector<Cycles> &job_wall,
-                       std::vector<u32> &job_live, u32 total_lanes);
-
-    /** The batch-buffer scheduling loop (with optional sampling). */
+    /**
+     * The scheduling loop (with optional sampling): each lane turn
+     * consumes up to `quantum` ops from the lane's batch buffer.
+     */
     void runBatchLoop(std::vector<Cycles> &job_wall,
-                      std::vector<u32> &job_live, u32 total_lanes);
+                      std::vector<u32> &job_live, u32 total_lanes,
+                      u32 quantum);
 
     /** Fire the interval machinery (policy, shocks, telemetry). */
     void onInterval(u32 total_lanes);
@@ -212,10 +208,19 @@ class System : public os::PolicyContext
     /** Compute RunResult::sampling from the accumulated windows. */
     SamplingStats sampleStats() const;
 
-    u64 sumWalks() const;
-    u64 sumWalkCycles() const;
-    u64 sumTlbAccesses() const;
-    u64 sumCycles() const;
+    /** Sum `f(core)` over every core. */
+    template <typename F>
+    u64
+    sumCores(F f) const
+    {
+        u64 total = 0;
+        for (const auto &core : cores_)
+            total += f(core);
+        return total;
+    }
+
+    /** A job's wall clock: the latest core clock among its lanes. */
+    Cycles jobWall(u32 job) const;
 
     /** Charge page-table fetches of a walk through the data cache. */
     Cycles chargeWalkRefs(CoreState &core, const os::Process &proc,
@@ -274,7 +279,7 @@ class System : public os::PolicyContext
     /** Tenant mode only (null otherwise): the contention scheduler. */
     std::unique_ptr<tenant::Scheduler> tsched_;
     std::vector<os::Process *> job_process_; //!< job -> its process
-    std::vector<JobTally> job_tally_;        //!< tenant-mode job stats
+    std::vector<JobTally> job_tally_;        //!< per-job counters
     u64 total_accesses_ = 0;
     u64 next_interval_at_ = 0;
     u64 intervals_ = 0;

@@ -2,10 +2,13 @@
  * @file
  * Minimal C++20 coroutine generator.
  *
- * Workloads are written as ordinary algorithmic code that co_yields an
- * AccessOp per simulated memory access; the System pulls lanes through
+ * Workloads are written as ordinary algorithmic code. Their lanes
+ * (Workload::batchLane) fill an access buffer and co_yield a BatchEnd
+ * at buffer-full and at barriers; the System resumes each lane through
  * this generator, which makes multi-threaded interleaving (and barrier
- * synchronization) deterministic without OS threads.
+ * synchronization) deterministic without OS threads. Workload::lane()
+ * wraps the same stream as a generator of one AccessOp per yield, the
+ * per-op view offline analyses read.
  */
 
 #pragma once

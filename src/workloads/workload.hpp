@@ -152,13 +152,14 @@ class Workload
     batchLane(u32 lane, u32 num_lanes, AccessBuffer &buf) = 0;
 
     /**
-     * Compatibility adapter: the same stream, one AccessOp per yield.
+     * The per-op view of the same stream, one AccessOp per yield.
      *
      * Drives batchLane() with a private buffer and re-emits each
      * buffered op individually, with a Barrier op at each
      * BatchEnd::Barrier. Produces exactly the op sequence batchLane()
-     * pushed, so engines and tests written against the scalar
-     * protocol keep observing the identical stream.
+     * pushed. The simulator never reads it; offline analyses (reuse
+     * distance, hint classifiers) and the workload tests do, because
+     * they inspect ops one at a time without simulating them.
      */
     Generator<AccessOp>
     lane(u32 lane, u32 num_lanes)

@@ -2,15 +2,15 @@
  * @file
  * Equivalence and determinism gates for the batch translation engine.
  *
- * The batch engine (SystemConfig::batch_engine, default on) consumes
- * structure-of-arrays address buffers instead of resuming the workload
- * coroutine once per access. These tests pin the contract that made
- * the switch safe:
+ * The engine consumes structure-of-arrays address buffers filled by
+ * Workload::batchLane() instead of resuming the workload coroutine
+ * once per access. These tests pin its contract:
  *
- *  - bit-identical results to the scalar engine, for every batch
- *    capacity (including degenerate capacity 1 and a capacity larger
- *    than any burst a workload emits);
- *  - differential-oracle lockstep over the batched hot path;
+ *  - bit-identical results for every batch capacity, checked against
+ *    capacity 1 (one op per coroutine resume, the finest interleaving)
+ *    up to a capacity larger than any burst a workload emits;
+ *  - differential-oracle lockstep over the batched hot path, single-
+ *    and multi-lane;
  *  - serial vs. parallel-runner determinism, batched; and
  *  - all of the above under fault-injection storms, where barrier and
  *    fault timing are most likely to smear across a batch boundary.
@@ -32,6 +32,9 @@ namespace {
 
 /** Batch capacities the gates sweep: degenerate, odd, quantum, max. */
 const u32 kCapacities[] = {1, 7, 64, 4096};
+
+/** The capacities checked against capacity 1. */
+const u32 kWideCapacities[] = {7, 64, 4096};
 
 ExperimentSpec
 ciSpec(const std::string &workload, PolicyKind policy)
@@ -55,15 +58,6 @@ withCapacity(ExperimentSpec spec, u32 capacity)
     return spec;
 }
 
-/** The spec, forced onto the scalar (pre-batch) engine. */
-ExperimentSpec
-scalarEngine(ExperimentSpec spec)
-{
-    spec.tweak = [](SystemConfig &cfg) { cfg.batch_engine = false; };
-    spec.tweak_key = "engine=scalar";
-    return spec;
-}
-
 /** A fault-storm spec: huge-alloc failures plus shootdown storms. */
 FuzzSpec
 stormSpec()
@@ -83,17 +77,17 @@ stormSpec()
 
 } // namespace
 
-TEST(BatchEngine, BitIdenticalToScalarEngine)
+TEST(BatchEngine, BitIdenticalToCapacityOne)
 {
-    // The headline contract: for every batch capacity, the batched
-    // run's RunResult equals the scalar engine's, field for field.
+    // The headline contract: for every batch capacity, the run's
+    // RunResult equals the one-op-per-resume run's, field for field.
     for (const char *app : {"bfs", "dedup"}) {
-        const RunResult scalar =
-            runOne(scalarEngine(ciSpec(app, PolicyKind::Pcc)));
-        for (u32 capacity : kCapacities) {
+        const RunResult one =
+            runOne(withCapacity(ciSpec(app, PolicyKind::Pcc), 1));
+        for (u32 capacity : kWideCapacities) {
             const RunResult batched = runOne(
                 withCapacity(ciSpec(app, PolicyKind::Pcc), capacity));
-            EXPECT_TRUE(batched == scalar)
+            EXPECT_TRUE(batched == one)
                 << app << " capacity " << capacity;
         }
     }
@@ -151,13 +145,13 @@ TEST(BatchEngine, FaultStormBitIdenticalAcrossCapacities)
 {
     // Fault storms concentrate the risky interleavings: fault entry
     // mid-batch, storms stretching shootdowns, promotions failing and
-    // retrying. Every capacity must still match the scalar engine.
-    const RunResult scalar =
-        runOne(scalarEngine(stormSpec().toExperiment()));
-    for (u32 capacity : kCapacities) {
+    // retrying. Every capacity must still match capacity 1.
+    const RunResult one =
+        runOne(withCapacity(stormSpec().toExperiment(), 1));
+    for (u32 capacity : kWideCapacities) {
         const RunResult batched =
             runOne(withCapacity(stormSpec().toExperiment(), capacity));
-        EXPECT_TRUE(batched == scalar) << "capacity " << capacity;
+        EXPECT_TRUE(batched == one) << "capacity " << capacity;
     }
 }
 
@@ -169,20 +163,17 @@ TEST(BatchEngine, FaultStormOracleLockstep)
     EXPECT_NO_THROW(runOne(spec));
 }
 
-TEST(BatchEngine, MultiLaneBatchedMatchesScalar)
+TEST(BatchEngine, MultiLaneFaultStormOracleLockstep)
 {
-    // Multi-lane scheduling clamps batch consumption to the scalar
-    // engine's rotation quantum; the interleaving over shared OS state
-    // must therefore be unchanged.
+    // Four lanes on four cores share one process under a fault storm:
+    // shootdowns from one lane's promotions land mid-turn on its
+    // siblings' cores. Every access is checked against the reference.
     FuzzSpec storm = stormSpec();
     storm.lanes = 4;
-    const RunResult scalar =
-        runOne(scalarEngine(storm.toExperiment()));
-    for (u32 capacity : kCapacities) {
-        const RunResult batched =
-            runOne(withCapacity(storm.toExperiment(), capacity));
-        EXPECT_TRUE(batched == scalar) << "capacity " << capacity;
-    }
+    ExperimentSpec spec = storm.toExperiment();
+    spec.oracle.enabled = true;
+    spec.oracle.sample_every = 1;
+    EXPECT_NO_THROW(runOne(spec));
 }
 
 // ---- sampled mode ----
@@ -241,14 +232,6 @@ TEST(Sampling, EstimateTracksExactMissRate)
     const double slack =
         std::max(2.0 * sampled.sampling.miss_rate_ci95, 0.5);
     EXPECT_NEAR(sampled.sampling.miss_rate_mean, exact_miss, slack);
-}
-
-TEST(Sampling, RequiresBatchEngine)
-{
-    ExperimentSpec spec = ciSpec("bfs", PolicyKind::Pcc);
-    spec.sampling.window = 1'000;
-    spec.sampling.fastforward = 9'000;
-    EXPECT_DEATH(runOne(scalarEngine(spec)), "batch engine");
 }
 
 TEST(Sampling, RejectsOracleCombination)

@@ -173,3 +173,57 @@ TEST(Scheduler, ProcessSetupHookRuns)
     system.run(w);
     EXPECT_EQ(calls, 1u);
 }
+
+TEST(Scheduler, MultiJobMultiLaneCountersGolden)
+{
+    // Two 2-lane jobs on four cores: each lane owns its core, and each
+    // job's counters are banked turn by turn. The expected values were
+    // recorded from the per-core summation this accounting replaced;
+    // drift in scheduling or in per-job attribution shows here.
+    auto pr = ciWorkload("pr");
+    auto bfs = ciWorkload("bfs");
+    System system(ciConfig(PolicyKind::Pcc, 4));
+    const auto result =
+        system.run({System::Job{pr.get(), 2}, System::Job{bfs.get(), 2}});
+
+    JobResult pr_want;
+    pr_want.workload = "pr";
+    pr_want.pid = 0;
+    pr_want.wall_cycles = 183919385;
+    pr_want.accesses = 2678787;
+    pr_want.tlb_accesses = 2677890;
+    pr_want.l1_hits = 2625099;
+    pr_want.l2_hits = 3154;
+    pr_want.walks = 49637;
+    pr_want.refs_per_walk = 1.0002417551423333;
+    pr_want.faults = 897;
+    pr_want.promotions = 4;
+    pr_want.promotions_1g = 0;
+    pr_want.demotions = 0;
+    pr_want.footprint_bytes = 8388608;
+    pr_want.promoted_bytes = 8388608;
+    pr_want.bloat_pages = 1151;
+
+    JobResult bfs_want;
+    bfs_want.workload = "bfs";
+    bfs_want.pid = 1;
+    bfs_want.wall_cycles = 68566427;
+    bfs_want.accesses = 1235485;
+    bfs_want.tlb_accesses = 1234652;
+    bfs_want.l1_hits = 1203443;
+    bfs_want.l2_hits = 3805;
+    bfs_want.walks = 27404;
+    bfs_want.refs_per_walk = 1.0004378922784996;
+    bfs_want.faults = 833;
+    bfs_want.promotions = 4;
+    bfs_want.promotions_1g = 0;
+    bfs_want.demotions = 0;
+    bfs_want.footprint_bytes = 8388608;
+    bfs_want.promoted_bytes = 8388608;
+    bfs_want.bloat_pages = 1215;
+
+    ASSERT_EQ(result.jobs.size(), 2u);
+    EXPECT_TRUE(result.jobs[0] == pr_want);
+    EXPECT_TRUE(result.jobs[1] == bfs_want);
+    EXPECT_EQ(result.wall_cycles, pr_want.wall_cycles);
+}

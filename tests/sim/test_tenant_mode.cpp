@@ -196,10 +196,6 @@ TEST(TenantMode, ValidateRejectsIncompatibleConfigurations)
         tenantConfig(PolicyKind::Base, tenant::SwitchMode::Asid);
     ASSERT_TRUE(good.validate().ok()) << good.validate().toString();
 
-    SystemConfig scalar = good;
-    scalar.batch_engine = false;
-    EXPECT_FALSE(scalar.validate().ok());
-
     SystemConfig sampled = good;
     sampled.sampling.window = 1000;
     sampled.sampling.fastforward = 1000;
